@@ -48,133 +48,53 @@ TRACE_SEED = 42
 RUN_SEED = 7
 
 
-def _build_trace(total_slots: int, num_jobs: int):
-    from repro.experiments.harness import WorkloadSpec, build_trace
+def _run_once(
+    plane: str, total_slots: int, num_jobs: int, policy_name: str
+) -> Dict[str, Any]:
+    """Build Hopper on ``plane`` through ``build_simulator`` with no
+    stragglers and the blacklist policy armed (``"none"`` when off),
+    then time ``run()`` alone."""
+    from repro.experiments.harness import WorkloadSpec, build_simulator, build_trace
     from repro.workload.generator import profile_by_name
 
-    profile = profile_by_name("spark-facebook")
     spec = WorkloadSpec(
-        profile=profile,
+        profile=profile_by_name("spark-facebook"),
         num_jobs=num_jobs,
         utilization=UTILIZATION,
         total_slots=total_slots,
         seed=TRACE_SEED,
     )
-    return profile, spec, build_trace(spec)
-
-
-def _policy(name: str, num_machines: int):
-    from repro import registry
-
-    if name == "off":
-        return None
-    return registry.make_blacklist_policy(name, num_machines=num_machines)
-
-
-def run_once_decentralized(
-    total_slots: int, num_jobs: int, policy_name: str
-) -> Dict[str, Any]:
-    from repro import registry
-    from repro.decentralized.config import DecentralizedConfig
-    from repro.decentralized.simulator import DecentralizedSimulator
-    from repro.simulation.rng import RandomSource
-    from repro.speculation import make_speculation_policy
-    from repro.stragglers.model import NoStragglerModel
-
-    profile, _, trace = _build_trace(total_slots, num_jobs)
-    defaults = registry.DECENTRALIZED_SYSTEMS.get("hopper").factory()
-    simulator = DecentralizedSimulator(
-        num_workers=total_slots,
-        speculation=lambda: make_speculation_policy("late"),
-        trace=trace.fresh_copy(),
-        straggler_model=NoStragglerModel(),
-        config=DecentralizedConfig(
-            worker_policy=defaults.worker_policy,
-            probe_ratio=PROBE_RATIO,
-            epsilon=defaults.epsilon,
-            default_beta=profile.beta,
-        ),
-        random_source=RandomSource(seed=RUN_SEED),
-        name="hopper",
-        blacklist_policy=_policy(policy_name, total_slots),
+    knobs = {"probe_ratio": PROBE_RATIO} if plane == "decentralized" else {}
+    simulator = build_simulator(
+        "hopper",
+        build_trace(spec),
+        spec,
+        plane=plane,
+        run_seed=RUN_SEED,
+        straggler_model="none",
+        blacklist_policy="none" if policy_name == "off" else policy_name,
+        obs=None,
+        **knobs,
     )
     start = time.perf_counter()
     simulator.run()
     wall = time.perf_counter() - start
     events = simulator.sim.events_processed
-    evicted = (
-        0
-        if simulator.blacklist_policy is None
-        else len(simulator.blacklist_policy.evictions)
+    policy = (
+        simulator.blacklist_policy
+        if plane == "decentralized"
+        else simulator._blacklist_policy
     )
     return {
-        "system": f"decentralized+{policy_name}",
+        "system": f"{plane}+{policy_name}",
         "total_slots": total_slots,
         "num_jobs": num_jobs,
-        "probe_ratio": PROBE_RATIO,
+        "probe_ratio": knobs.get("probe_ratio"),
         "events": events,
         "wall_seconds": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
-        "evictions": evicted,
+        "evictions": 0 if policy is None else len(policy.evictions),
     }
-
-
-def run_once_centralized(
-    total_slots: int, num_jobs: int, policy_name: str
-) -> Dict[str, Any]:
-    from repro import registry
-    from repro.centralized.config import CentralizedConfig, SpeculationMode
-    from repro.centralized.simulator import CentralizedSimulator
-    from repro.cluster.cluster import Cluster
-    from repro.simulation.rng import RandomSource
-    from repro.speculation import make_speculation_policy
-    from repro.stragglers.model import NoStragglerModel
-
-    profile, _, trace = _build_trace(total_slots, num_jobs)
-    policy = registry.CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1)
-    slots_per_machine = 4
-    num_machines = max(1, total_slots // slots_per_machine)
-    simulator = CentralizedSimulator(
-        cluster=Cluster(
-            num_machines=num_machines, slots_per_machine=slots_per_machine
-        ),
-        policy=policy,
-        speculation=lambda: make_speculation_policy("late"),
-        trace=trace.fresh_copy(),
-        straggler_model=NoStragglerModel(),
-        config=CentralizedConfig(
-            epsilon=0.1,
-            speculation_mode=SpeculationMode.INTEGRATED,
-            default_beta=profile.beta,
-        ),
-        random_source=RandomSource(seed=RUN_SEED),
-        blacklist_policy=_policy(policy_name, num_machines),
-    )
-    start = time.perf_counter()
-    simulator.run()
-    wall = time.perf_counter() - start
-    events = simulator.sim.events_processed
-    evicted = (
-        0
-        if simulator._blacklist_policy is None
-        else len(simulator._blacklist_policy.evictions)
-    )
-    return {
-        "system": f"centralized+{policy_name}",
-        "total_slots": total_slots,
-        "num_jobs": num_jobs,
-        "probe_ratio": None,
-        "events": events,
-        "wall_seconds": wall,
-        "events_per_sec": events / wall if wall > 0 else 0.0,
-        "evictions": evicted,
-    }
-
-
-_RUNNERS = {
-    "decentralized": run_once_decentralized,
-    "centralized": run_once_centralized,
-}
 
 
 def run_benchmark(
@@ -183,12 +103,11 @@ def run_benchmark(
     """Best-of-``repeats`` per plane x policy x grid point."""
     rows: List[Dict[str, Any]] = []
     for plane in PLANES:
-        run_once = _RUNNERS[plane]
         for policy_name in POLICIES:
             for total_slots, num_jobs in grid:
                 best: Optional[Dict[str, Any]] = None
                 for _ in range(repeats):
-                    row = run_once(total_slots, num_jobs, policy_name)
+                    row = _run_once(plane, total_slots, num_jobs, policy_name)
                     if (
                         best is None
                         or row["wall_seconds"] < best["wall_seconds"]

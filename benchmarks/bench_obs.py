@@ -31,6 +31,7 @@ if str(_ROOT / "benchmarks") not in sys.path:
 
 from _tables import BENCH_SCHEMA_VERSION, print_table, write_bench_json  # noqa: E402
 from bench_scale import (  # noqa: E402
+    ELASTIC_SLOTS,
     FULL_GRID,
     PROBE_RATIO,
     QUICK_GRID,
@@ -39,12 +40,14 @@ from bench_scale import (  # noqa: E402
     run_once_batch,
     run_once_centralized,
     run_once_decentralized,
+    run_once_elastic,
 )
 
 _RUNNERS = {
     "decentralized": run_once_decentralized,
     "centralized": run_once_centralized,
     "batch": run_once_batch,
+    "elastic": run_once_elastic,
 }
 
 #: Observability modes measured per grid point. "off" rows intentionally
@@ -80,7 +83,13 @@ def run_benchmark(
 ) -> List[Dict[str, Any]]:
     rows: List[Dict[str, Any]] = []
     for system in systems:
-        for total_slots, num_jobs in grid:
+        # As in bench_scale, the elastic axis runs only its 10k point.
+        points = (
+            [p for p in grid if p[0] == ELASTIC_SLOTS]
+            if system == "elastic"
+            else grid
+        )
+        for total_slots, num_jobs in points:
             for mode in MODES:
                 rows.append(
                     _run_point(system, total_slots, num_jobs, mode, repeats)

@@ -67,178 +67,92 @@ ELASTIC_CHURN = 0.1
 ELASTIC_CHURN_EVENTS = 8
 
 
-def _build_trace(total_slots: int, num_jobs: int):
-    from repro.experiments.harness import WorkloadSpec, build_trace
+def _run_once(
+    system: str,
+    plane: str,
+    total_slots: int,
+    num_jobs: int,
+    obs: Any,
+    **knobs: Any,
+) -> Dict[str, Any]:
+    """Build Hopper on ``plane`` through ``build_simulator`` for the
+    spark-facebook trace at this grid point, then time ``run()`` alone.
+
+    ``obs`` (a :class:`repro.obs.Obs` or None) is threaded through so
+    ``bench_obs.py`` can measure instrumentation overhead on the exact
+    same workload; None keeps this benchmark tracer-free.
+    """
+    from repro.experiments.harness import WorkloadSpec, build_simulator, build_trace
     from repro.workload.generator import profile_by_name
 
-    profile = profile_by_name("spark-facebook")
     spec = WorkloadSpec(
-        profile=profile,
+        profile=profile_by_name("spark-facebook"),
         num_jobs=num_jobs,
         utilization=UTILIZATION,
         total_slots=total_slots,
         seed=TRACE_SEED,
     )
-    return profile, spec, build_trace(spec)
-
-
-def run_once_decentralized(
-    total_slots: int, num_jobs: int, obs: Any = None
-) -> Dict[str, Any]:
-    """One timed decentralized-Hopper replay; returns a result row.
-
-    ``obs`` (a :class:`repro.obs.Obs` or None) is threaded through so
-    ``bench_obs.py`` can measure instrumentation overhead on the exact
-    same workload; the default keeps this benchmark tracer-free.
-    """
-    from repro import registry
-    from repro.decentralized.config import DecentralizedConfig
-    from repro.decentralized.simulator import DecentralizedSimulator
-    from repro.simulation.rng import RandomSource
-    from repro.speculation import make_speculation_policy
-    from repro.stragglers.model import ParetoRedrawStragglerModel
-
-    profile, _, trace = _build_trace(total_slots, num_jobs)
-    defaults = registry.DECENTRALIZED_SYSTEMS.get("hopper").factory()
-    simulator = DecentralizedSimulator(
-        num_workers=total_slots,
-        speculation=lambda: make_speculation_policy("late"),
-        trace=trace.fresh_copy(),
-        straggler_model=ParetoRedrawStragglerModel(
-            beta=profile.beta, scale=profile.task_scale
-        ),
-        config=DecentralizedConfig(
-            worker_policy=defaults.worker_policy,
-            probe_ratio=PROBE_RATIO,
-            epsilon=defaults.epsilon,
-            default_beta=profile.beta,
-        ),
-        random_source=RandomSource(seed=RUN_SEED),
-        name="hopper",
+    simulator = build_simulator(
+        "hopper",
+        build_trace(spec),
+        spec,
+        plane=plane,
+        run_seed=RUN_SEED,
         obs=obs,
+        **knobs,
     )
     start = time.perf_counter()
     result = simulator.run()
     wall = time.perf_counter() - start
     events = simulator.sim.events_processed
     return {
-        "system": "decentralized",
+        "system": system,
         "total_slots": total_slots,
         "num_jobs": num_jobs,
-        "probe_ratio": PROBE_RATIO,
+        "probe_ratio": knobs.get("probe_ratio"),
         "events": events,
         "wall_seconds": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
         "mean_job_duration": result.mean_job_duration,
         "messages_sent": result.messages_sent,
     }
+
+
+def run_once_decentralized(
+    total_slots: int, num_jobs: int, obs: Any = None
+) -> Dict[str, Any]:
+    """One timed decentralized-Hopper replay at ``PROBE_RATIO``."""
+    return _run_once(
+        "decentralized",
+        "decentralized",
+        total_slots,
+        num_jobs,
+        obs,
+        probe_ratio=PROBE_RATIO,
+    )
 
 
 def run_once_centralized(
     total_slots: int, num_jobs: int, obs: Any = None
 ) -> Dict[str, Any]:
     """One timed centralized-Hopper replay (the harness defaults:
-    INTEGRATED speculation, 4 slots per machine); returns a result row.
-    ``obs`` as in :func:`run_once_decentralized`."""
-    from repro import registry
-    from repro.centralized.config import CentralizedConfig, SpeculationMode
-    from repro.centralized.simulator import CentralizedSimulator
-    from repro.cluster.cluster import Cluster
-    from repro.simulation.rng import RandomSource
-    from repro.speculation import make_speculation_policy
-    from repro.stragglers.model import ParetoRedrawStragglerModel
-
-    profile, _, trace = _build_trace(total_slots, num_jobs)
-    policy = registry.CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1)
-    slots_per_machine = 4
-    simulator = CentralizedSimulator(
-        cluster=Cluster(
-            num_machines=max(1, total_slots // slots_per_machine),
-            slots_per_machine=slots_per_machine,
-        ),
-        policy=policy,
-        speculation=lambda: make_speculation_policy("late"),
-        trace=trace.fresh_copy(),
-        straggler_model=ParetoRedrawStragglerModel(
-            beta=profile.beta, scale=profile.task_scale
-        ),
-        config=CentralizedConfig(
-            epsilon=0.1,
-            speculation_mode=SpeculationMode.INTEGRATED,
-            default_beta=profile.beta,
-        ),
-        random_source=RandomSource(seed=RUN_SEED),
-        obs=obs,
-    )
-    start = time.perf_counter()
-    result = simulator.run()
-    wall = time.perf_counter() - start
-    events = simulator.sim.events_processed
-    return {
-        "system": "centralized",
-        "total_slots": total_slots,
-        "num_jobs": num_jobs,
-        "probe_ratio": None,
-        "events": events,
-        "wall_seconds": wall,
-        "events_per_sec": events / wall if wall > 0 else 0.0,
-        "mean_job_duration": result.mean_job_duration,
-        "messages_sent": result.messages_sent,
-    }
+    INTEGRATED speculation, 4 slots per machine)."""
+    return _run_once("centralized", "centralized", total_slots, num_jobs, obs)
 
 
 def run_once_batch(
     total_slots: int, num_jobs: int, obs: Any = None
 ) -> Dict[str, Any]:
     """One timed batch-plane Hopper replay (periodic rounds at
-    ``ROUND_INTERVAL``, otherwise the centralized harness defaults);
-    returns a result row. ``obs`` as in :func:`run_once_decentralized`."""
-    from repro import registry
-    from repro.batch import BatchSimulator
-    from repro.centralized.config import CentralizedConfig, SpeculationMode
-    from repro.cluster.cluster import Cluster
-    from repro.simulation.rng import RandomSource
-    from repro.speculation import make_speculation_policy
-    from repro.stragglers.model import ParetoRedrawStragglerModel
-
-    profile, _, trace = _build_trace(total_slots, num_jobs)
-    policy = registry.BATCH_SYSTEMS.get("hopper").factory(epsilon=0.1)
-    slots_per_machine = 4
-    simulator = BatchSimulator(
+    ``ROUND_INTERVAL``, otherwise the centralized harness defaults)."""
+    return _run_once(
+        "batch",
+        "batch",
+        total_slots,
+        num_jobs,
+        obs,
         round_interval=ROUND_INTERVAL,
-        cluster=Cluster(
-            num_machines=max(1, total_slots // slots_per_machine),
-            slots_per_machine=slots_per_machine,
-        ),
-        policy=policy,
-        speculation=lambda: make_speculation_policy("late"),
-        trace=trace.fresh_copy(),
-        straggler_model=ParetoRedrawStragglerModel(
-            beta=profile.beta, scale=profile.task_scale
-        ),
-        config=CentralizedConfig(
-            epsilon=0.1,
-            speculation_mode=SpeculationMode.INTEGRATED,
-            default_beta=profile.beta,
-        ),
-        random_source=RandomSource(seed=RUN_SEED),
-        obs=obs,
     )
-    start = time.perf_counter()
-    result = simulator.run()
-    wall = time.perf_counter() - start
-    events = simulator.sim.events_processed
-    return {
-        "system": "batch",
-        "total_slots": total_slots,
-        "num_jobs": num_jobs,
-        "probe_ratio": None,
-        "events": events,
-        "wall_seconds": wall,
-        "events_per_sec": events / wall if wall > 0 else 0.0,
-        "mean_job_duration": result.mean_job_duration,
-        "messages_sent": result.messages_sent,
-    }
 
 
 def run_once_elastic(
@@ -249,61 +163,23 @@ def run_once_elastic(
     ``ELASTIC_CHURN`` of the machine fleet. The delta over
     :func:`run_once_centralized` prices the membership-update and
     kill→requeue paths (Cluster.add_machine/remove_machine must stay
-    O(log machines) for this row to hold its rate). ``obs`` as in
-    :func:`run_once_decentralized`."""
-    from repro.centralized.config import CentralizedConfig, SpeculationMode
-    from repro.centralized.simulator import CentralizedSimulator
-    from repro.cluster.cluster import Cluster
+    O(log machines) for this row to hold its rate)."""
     from repro.cluster.elastic import ScheduleAutoscaler
-    from repro.simulation.rng import RandomSource
-    from repro.speculation import make_speculation_policy
-    from repro.stragglers.model import ParetoRedrawStragglerModel
 
-    from repro import registry
-
-    profile, _, trace = _build_trace(total_slots, num_jobs)
-    policy = registry.CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1)
-    slots_per_machine = 4
-    num_machines = max(1, total_slots // slots_per_machine)
+    num_machines = max(1, total_slots // 4)  # harness default: 4 slots each
     delta = max(1, int(num_machines * ELASTIC_CHURN))
     schedule = [
         (2.0 * (i + 1), -delta if i % 2 == 0 else delta)
         for i in range(ELASTIC_CHURN_EVENTS)
     ]
-    simulator = CentralizedSimulator(
-        cluster=Cluster(
-            num_machines=num_machines, slots_per_machine=slots_per_machine
-        ),
-        policy=policy,
-        speculation=lambda: make_speculation_policy("late"),
-        trace=trace.fresh_copy(),
-        straggler_model=ParetoRedrawStragglerModel(
-            beta=profile.beta, scale=profile.task_scale
-        ),
-        config=CentralizedConfig(
-            epsilon=0.1,
-            speculation_mode=SpeculationMode.INTEGRATED,
-            default_beta=profile.beta,
-        ),
-        random_source=RandomSource(seed=RUN_SEED),
+    return _run_once(
+        "elastic",
+        "centralized",
+        total_slots,
+        num_jobs,
+        obs,
         autoscaler=ScheduleAutoscaler(schedule),
-        obs=obs,
     )
-    start = time.perf_counter()
-    result = simulator.run()
-    wall = time.perf_counter() - start
-    events = simulator.sim.events_processed
-    return {
-        "system": "elastic",
-        "total_slots": total_slots,
-        "num_jobs": num_jobs,
-        "probe_ratio": None,
-        "events": events,
-        "wall_seconds": wall,
-        "events_per_sec": events / wall if wall > 0 else 0.0,
-        "mean_job_duration": result.mean_job_duration,
-        "messages_sent": result.messages_sent,
-    }
 
 
 _RUNNERS = {

@@ -37,8 +37,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import registry
 from repro.metrics.tables import print_table
@@ -51,20 +50,8 @@ from repro.sweep import (
 
 
 # --------------------------------------------------------------------------
-# Figure registry
+# Figure printers: paper-vs-measured tables
 # --------------------------------------------------------------------------
-
-@dataclass
-class FigureDef:
-    """One CLI-runnable paper figure."""
-
-    name: str
-    description: str
-    func: Callable[..., Any]
-    printer: Callable[[Any], None]
-    quick: Dict[str, Any]
-    takes_runner: bool = True
-
 
 def _print_fig3(curve) -> None:
     from repro.experiments.figures import knee_position
@@ -95,11 +82,13 @@ def _print_fig6(rows) -> None:
     )
 
 
-def _print_bin_dict(title: str):
-    def printer(out: Dict[str, float]) -> None:
-        print_table(title, ("job bin", "reduction %"), sorted(out.items()))
-
-    return printer
+def _print_fig7(out: Dict[str, float]) -> None:
+    print_table(
+        "Fig 7: reduction vs Sparrow-SRPT by job-size bin "
+        "(paper: all bins gain; small jobs most)",
+        ("job bin", "reduction %"),
+        sorted(out.items()),
+    )
 
 
 def _print_fig8a(out) -> None:
@@ -199,125 +188,24 @@ def _print_headline(out) -> None:
     )
 
 
-def _registry() -> Dict[str, FigureDef]:
-    from repro.experiments import figures
-
-    defs = [
-        FigureDef(
-            "fig3",
-            "Sharp threshold in the value of extra slots (knee at 2/beta)",
-            figures.fig3_threshold,
-            _print_fig3,
-            quick=dict(
-                num_tasks=50,
-                normalized_slots=(0.6, 1.0, 1.4, 1.8, 2.2),
-                repetitions=3,
-            ),
-        ),
-        FigureDef(
-            "fig5a",
-            "Decentralized-to-centralized ratio vs probe count d",
-            figures.fig5a_probe_count,
-            _print_fig5,
-            quick=dict(
-                probe_ratios=(2.0, 4.0),
-                utilizations=(0.7,),
-                num_jobs=25,
-                total_slots=80,
-            ),
-        ),
-        FigureDef(
-            "fig5b",
-            "Decentralized-to-centralized ratio vs refusal threshold",
-            figures.fig5b_refusal_count,
-            _print_fig5,
-            quick=dict(
-                refusal_counts=(0, 2),
-                utilizations=(0.7,),
-                num_jobs=25,
-                total_slots=80,
-            ),
-        ),
-        FigureDef(
-            "fig6",
-            "Decentralized Hopper gains vs utilization (Facebook profile)",
-            figures.fig6_utilization_gains,
-            _print_fig6,
-            quick=dict(utilizations=(0.7,), num_jobs=30, total_slots=100),
-        ),
-        FigureDef(
-            "fig7",
-            "Gains by job-size bin vs Sparrow-SRPT",
-            figures.fig7_job_bins,
-            _print_bin_dict(
-                "Fig 7: reduction vs Sparrow-SRPT by job-size bin "
-                "(paper: all bins gain; small jobs most)"
-            ),
-            quick=dict(num_jobs=40, total_slots=100),
-        ),
-        FigureDef(
-            "fig8a",
-            "CDF of per-job gains vs Sparrow-SRPT",
-            figures.fig8a_gain_cdf,
-            _print_fig8a,
-            quick=dict(num_jobs=40, total_slots=100),
-        ),
-        FigureDef(
-            "fig8b",
-            "Gains vs Sparrow-SRPT by DAG length",
-            figures.fig8b_dag_length,
-            _print_fig8b,
-            quick=dict(num_jobs=40, total_slots=100),
-        ),
-        FigureDef(
-            "fig9",
-            "Gains under LATE / Mantri / GRASS speculation",
-            figures.fig9_speculation_algorithms,
-            _print_fig9,
-            quick=dict(num_jobs=30, total_slots=100),
-        ),
-        FigureDef(
-            "fig10",
-            "Fairness knob epsilon: gains vs slowdowns",
-            figures.fig10_fairness,
-            _print_fig10,
-            quick=dict(epsilons=(0.0, 0.1), num_jobs=25, total_slots=80),
-        ),
-        FigureDef(
-            "fig11",
-            "Gain vs Sparrow-SRPT across probe ratios",
-            figures.fig11_probe_ratio,
-            _print_fig11,
-            quick=dict(
-                probe_ratios=(2.0, 4.0),
-                utilizations=(0.7,),
-                num_jobs=30,
-                total_slots=100,
-            ),
-        ),
-        FigureDef(
-            "fig12",
-            "Centralized Hopper vs centralized SRPT",
-            figures.fig12_centralized,
-            _print_fig12,
-            quick=dict(num_jobs=30, total_slots=60),
-        ),
-        FigureDef(
-            "fig13",
-            "Data locality allowance k",
-            figures.fig13_locality,
-            _print_fig13,
-            quick=dict(k_values=(0.0, 5.0), num_jobs=25, total_slots=60),
-        ),
-        FigureDef(
-            "headline",
-            "The paper's headline aggregate gains (Sections 1 and 7)",
-            figures.headline_gains,
-            _print_headline,
-            quick=dict(num_jobs=40, total_slots=120),
-        ),
-    ]
-    return {d.name: d for d in defs}
+#: figure name -> (its function in :mod:`repro.experiments.figures`,
+#: its printer). Each name is also a registered Study, which holds the
+#: figure's description and its ``--quick`` grid.
+_FIGURES: Dict[str, Tuple[str, Callable[[Any], None]]] = {
+    "fig3": ("fig3_threshold", _print_fig3),
+    "fig5a": ("fig5a_probe_count", _print_fig5),
+    "fig5b": ("fig5b_refusal_count", _print_fig5),
+    "fig6": ("fig6_utilization_gains", _print_fig6),
+    "fig7": ("fig7_job_bins", _print_fig7),
+    "fig8a": ("fig8a_gain_cdf", _print_fig8a),
+    "fig8b": ("fig8b_dag_length", _print_fig8b),
+    "fig9": ("fig9_speculation_algorithms", _print_fig9),
+    "fig10": ("fig10_fairness", _print_fig10),
+    "fig11": ("fig11_probe_ratio", _print_fig11),
+    "fig12": ("fig12_centralized", _print_fig12),
+    "fig13": ("fig13_locality", _print_fig13),
+    "headline": ("headline_gains", _print_headline),
+}
 
 
 # --------------------------------------------------------------------------
@@ -359,15 +247,16 @@ def _print_entries(title: str, entries) -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    figure_registry = _registry()
-    width = max(len(name) for name in figure_registry)
-    print("Available figures (python -m repro run <name> [...]):\n")
-    for name, definition in figure_registry.items():
-        print(f"  {name.ljust(width)}  {definition.description}")
+    from repro.serving.arrivals import ARRIVAL_PROCESSES
 
+    studies = registry.studies()
+    _print_entries(
+        "Available figures (python -m repro run <name> [...])",
+        [studies.get(name) for name in _FIGURES],
+    )
     _print_entries(
         "Studies (python -m repro study <name> --seeds 1,2,3)",
-        registry.studies().entries(),
+        studies.entries(),
     )
     print("\nSystems (python -m repro sweep --kind <plane> ...):")
     systems = registry.SYSTEMS.entries()
@@ -394,6 +283,13 @@ def _cmd_list(args: argparse.Namespace) -> int:
         "Blacklist policies (mid-run machine eviction)",
         registry.BLACKLIST_POLICIES.entries(),
     )
+    _print_entries(
+        "Autoscaler policies (mid-run cluster resizes)",
+        registry.AUTOSCALER_POLICIES.entries(),
+    )
+    _print_entries(
+        "Arrival processes (serving regime)", ARRIVAL_PROCESSES.entries()
+    )
     _print_entries("Workload profiles", registry.WORKLOAD_PROFILES.entries())
     print(
         "\nAll figures and studies accept --quick (CI smoke scale), "
@@ -403,8 +299,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    registry = _registry()
-    unknown = [name for name in args.figures if name not in registry]
+    unknown = [name for name in args.figures if name not in _FIGURES]
     if unknown:
         print(
             f"unknown figure(s): {', '.join(unknown)}; "
@@ -412,13 +307,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.experiments import figures
+
     runner = _build_runner(args)
     for name in args.figures:
-        definition = registry[name]
-        kwargs: Dict[str, Any] = dict(definition.quick) if args.quick else {}
-        if definition.takes_runner:
-            kwargs["runner"] = runner
-        definition.printer(definition.func(**kwargs))
+        func_name, printer = _FIGURES[name]
+        study = registry.studies().get(name).factory
+        kwargs = study.quick if args.quick else {}
+        printer(getattr(figures, func_name)(runner=runner, **kwargs))
     _print_stats(runner)
     return 0
 

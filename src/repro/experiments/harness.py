@@ -1,9 +1,12 @@
-"""Shared experiment plumbing: trace construction and simulator runners.
+"""Shared experiment plumbing: trace construction and simulator builders.
 
 Every figure experiment reduces to: build a trace at a target utilization,
-replay it under two or more systems, and compare matched job records. The
-runners here own the (many) constructor arguments so figure code stays
-declarative.
+replay it under two or more systems, and compare matched job records.
+There is one way to do the replay: :func:`build_simulator` (or
+:func:`run_simulator`, which also runs it) resolves a system name to its
+plane and forwards the keywords to that plane's builder. The builders
+own the (many) constructor arguments, each declared once, so figure
+code and ``RunSpec`` executors stay declarative.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from repro.cluster.policy import BlacklistPolicy
 from repro.decentralized.config import DecentralizedConfig
 from repro.decentralized.simulator import DecentralizedSimulator
 from repro.metrics.collector import SimulationResult
-from repro.obs import Obs, obs_from_env
+from repro.obs import obs_from_env
 from repro.simulation.rng import RandomSource
 from repro.speculation import make_speculation_policy
 from repro.stragglers.model import ParetoRedrawStragglerModel, StragglerModel
@@ -78,21 +81,16 @@ def default_straggler_model(profile: WorkloadProfile) -> StragglerModel:
 
 
 def _centralized_system(
-    name: str,
-    epsilon: float,
-    systems: Optional[registry.Registry] = None,
+    name: str, epsilon: float, systems: registry.Registry
 ) -> tuple[CentralizedPolicy, SpeculationMode]:
-    """Resolve a centralized-family scheduler: the policy plus its
+    """Resolve a centralized-family scheduler in ``systems``
+    (``CENTRALIZED_SYSTEMS`` or ``BATCH_SYSTEMS``): the policy plus its
     registered default speculation mode.
 
-    ``systems`` selects the registry (``CENTRALIZED_SYSTEMS`` by
-    default; the batch plane resolves through ``BATCH_SYSTEMS``).
     Plain-callable registrations (no
     :class:`~repro.registry.CentralizedSystemDefaults` wrapper) default
     to BEST_EFFORT, the mode every non-Hopper baseline runs under.
     """
-    if systems is None:
-        systems = registry.CENTRALIZED_SYSTEMS
     entry = systems.get(name.lower())
     mode_name = getattr(entry.factory, "speculation_mode", None)
     mode = (
@@ -111,7 +109,7 @@ def _resolve_straggler_model(
     """Accept a model instance, a registry name, or None (paper default).
 
     ``num_machines`` is the run's cluster size; machine-correlated models
-    require it (the runners below pass it automatically).
+    require it (the builders below pass it automatically).
     """
     if straggler_model is None:
         return default_straggler_model(profile)
@@ -122,69 +120,15 @@ def _resolve_straggler_model(
     return straggler_model
 
 
-def _resolve_blacklist_policy(
-    blacklist_policy: Union[BlacklistPolicy, str, None],
-    num_machines: int,
-    strike_threshold: Optional[int] = None,
-    strike_window: Optional[float] = None,
-    eviction_cap: Optional[float] = None,
-) -> Optional[BlacklistPolicy]:
-    """Accept a policy instance, a registry name, or None/"none" (off).
-
-    The strike knobs only apply when the policy is built by name here;
-    omitted knobs keep the policy's own defaults. ``num_machines`` is
-    the run's cluster size (bounds the eviction cap).
-    """
-    if blacklist_policy is None:
-        return None
-    if isinstance(blacklist_policy, str):
-        kwargs = {}
-        if strike_threshold is not None:
-            kwargs["strike_threshold"] = strike_threshold
-        if strike_window is not None:
-            kwargs["strike_window"] = strike_window
-        if eviction_cap is not None:
-            kwargs["eviction_cap"] = eviction_cap
-        return registry.make_blacklist_policy(
-            blacklist_policy, num_machines=num_machines, **kwargs
-        )
-    return blacklist_policy
-
-
-def _resolve_autoscaler(
-    autoscaler: Union[AutoscalerPolicy, str, None],
-    resize_schedule: Optional[str] = None,
-    scale_interval: Optional[float] = None,
-    scale_up_threshold: Optional[float] = None,
-    scale_down_threshold: Optional[float] = None,
-    scale_step: Optional[int] = None,
-    min_machines: Optional[int] = None,
-) -> Optional[AutoscalerPolicy]:
-    """Accept a policy instance, a registry name, or None/"none" (off).
-
-    The scale knobs only apply when the policy is built by name here;
-    omitted knobs keep the policy's own defaults. ``"none"`` resolves
-    through the registry to None, so a run that spells the default
-    explicitly builds the exact same simulator.
-    """
-    if autoscaler is None:
-        return None
-    if isinstance(autoscaler, str):
-        kwargs = {}
-        if resize_schedule is not None:
-            kwargs["resize_schedule"] = resize_schedule
-        if scale_interval is not None:
-            kwargs["scale_interval"] = scale_interval
-        if scale_up_threshold is not None:
-            kwargs["scale_up_threshold"] = scale_up_threshold
-        if scale_down_threshold is not None:
-            kwargs["scale_down_threshold"] = scale_down_threshold
-        if scale_step is not None:
-            kwargs["scale_step"] = scale_step
-        if min_machines is not None:
-            kwargs["min_machines"] = min_machines
-        return registry.make_autoscaler(autoscaler, **kwargs)
-    return autoscaler
+def _by_name(value, make, **knobs):
+    """Build ``value`` with the registry factory ``make`` when it is a
+    name, passing only the knobs the caller set (omitted ones keep the
+    policy's own defaults). Instances and None pass through; the name
+    ``"none"`` resolves through the registry to None, so a run that
+    spells the default explicitly builds the exact same simulator."""
+    if not isinstance(value, str):
+        return value
+    return make(value, **{k: v for k, v in knobs.items() if v is not None})
 
 
 #: Sentinel: "the caller did not choose" — consult ``REPRO_OBS``. An
@@ -192,25 +136,13 @@ def _resolve_autoscaler(
 _OBS_FROM_ENV = object()
 
 
-def _resolve_obs(obs) -> Optional[Obs]:
-    if obs is _OBS_FROM_ENV:
-        return obs_from_env()
-    return obs
-
-
-def build_centralized_simulator(
+def _plane_kwargs(
     trace: Trace,
-    policy: str,
     spec: WorkloadSpec,
+    num_machines: int,
     speculation: str = "late",
-    epsilon: float = 0.1,
-    locality_k_percent: float = 3.0,
-    speculation_mode: Optional[SpeculationMode] = None,
     straggler_model: Union[StragglerModel, str, None] = None,
-    with_locality: bool = False,
-    slots_per_machine: int = 4,
     run_seed: int = 7,
-    config: Optional[CentralizedConfig] = None,
     blacklist_policy: Union[BlacklistPolicy, str, None] = None,
     strike_threshold: Optional[int] = None,
     strike_window: Optional[float] = None,
@@ -223,49 +155,43 @@ def build_centralized_simulator(
     scale_step: Optional[int] = None,
     min_machines: Optional[int] = None,
     obs=_OBS_FROM_ENV,
-) -> CentralizedSimulator:
-    """Construct (without running) a centralized simulator for ``trace``.
+) -> dict:
+    """Constructor kwargs every plane shares.
 
-    The trace is deep-copied first, so the same object can be replayed
-    under several systems. ``policy`` and (string-valued)
-    ``straggler_model`` / ``blacklist_policy`` / ``autoscaler`` resolve
-    through :mod:`repro.registry`; each centralized system's registry
-    entry carries its default speculation mode (BEST_EFFORT for the
-    baselines, INTEGRATED for Hopper). With a blacklist policy the
-    simulator evicts struck machines mid-run (see
+    The trace is deep-copied, so the same object can be replayed under
+    several systems. String-valued ``straggler_model`` /
+    ``blacklist_policy`` / ``autoscaler`` resolve through
+    :mod:`repro.registry` with the run's ``num_machines`` wired in. With
+    a blacklist policy the simulator evicts struck machines mid-run (see
     :mod:`repro.cluster.policy`); with an autoscaler it resizes the
-    cluster mid-run (see :mod:`repro.cluster.elastic`). The serving
-    driver builds through here too, then primes the engine before
-    calling ``run()``.
+    cluster mid-run (see :mod:`repro.cluster.elastic`).
     """
-    return CentralizedSimulator(
-        **_centralized_family_kwargs(
-            trace,
-            policy,
-            spec,
-            registry.CENTRALIZED_SYSTEMS,
-            speculation=speculation,
-            epsilon=epsilon,
-            locality_k_percent=locality_k_percent,
-            speculation_mode=speculation_mode,
-            straggler_model=straggler_model,
-            with_locality=with_locality,
-            slots_per_machine=slots_per_machine,
-            run_seed=run_seed,
-            config=config,
-            blacklist_policy=blacklist_policy,
+    return dict(
+        speculation=lambda: make_speculation_policy(speculation),
+        trace=trace.fresh_copy(),
+        straggler_model=_resolve_straggler_model(
+            straggler_model, spec.profile, num_machines=num_machines
+        ),
+        random_source=RandomSource(seed=run_seed),
+        blacklist_policy=_by_name(
+            blacklist_policy,
+            registry.make_blacklist_policy,
+            num_machines=num_machines,
             strike_threshold=strike_threshold,
             strike_window=strike_window,
             eviction_cap=eviction_cap,
-            autoscaler=autoscaler,
+        ),
+        autoscaler=_by_name(
+            autoscaler,
+            registry.make_autoscaler,
             resize_schedule=resize_schedule,
             scale_interval=scale_interval,
             scale_up_threshold=scale_up_threshold,
             scale_down_threshold=scale_down_threshold,
             scale_step=scale_step,
             min_machines=min_machines,
-            obs=obs,
-        )
+        ),
+        obs=obs_from_env() if obs is _OBS_FROM_ENV else obs,
     )
 
 
@@ -274,34 +200,24 @@ def _centralized_family_kwargs(
     policy: str,
     spec: WorkloadSpec,
     systems: registry.Registry,
-    speculation: str,
-    epsilon: float,
-    locality_k_percent: float,
-    speculation_mode: Optional[SpeculationMode],
-    straggler_model: Union[StragglerModel, str, None],
-    with_locality: bool,
-    slots_per_machine: int,
-    run_seed: int,
-    config: Optional[CentralizedConfig],
-    blacklist_policy: Union[BlacklistPolicy, str, None],
-    strike_threshold: Optional[int],
-    strike_window: Optional[float],
-    eviction_cap: Optional[float],
-    autoscaler: Union[AutoscalerPolicy, str, None],
-    resize_schedule: Optional[str],
-    scale_interval: Optional[float],
-    scale_up_threshold: Optional[float],
-    scale_down_threshold: Optional[float],
-    scale_step: Optional[int],
-    min_machines: Optional[int],
-    obs,
+    epsilon: float = 0.1,
+    locality_k_percent: float = 3.0,
+    speculation_mode: Union[SpeculationMode, str, None] = None,
+    with_locality: bool = False,
+    slots_per_machine: int = 4,
+    config: Optional[CentralizedConfig] = None,
+    **shared,
 ) -> dict:
     """Constructor kwargs shared by the centralized and batch planes.
 
     Both planes build the exact same cluster, config, and seed
     hierarchy — the batch plane only adds *when* dispatch happens, so
     keeping construction common here guarantees the entropy streams
-    stay aligned between them.
+    stay aligned between them. ``policy`` resolves through ``systems``,
+    whose entry carries the default speculation mode (BEST_EFFORT for
+    the baselines, INTEGRATED for Hopper); ``speculation_mode`` overrides
+    it, as an enum or its value string. ``shared`` is every keyword of
+    :func:`_plane_kwargs`.
     """
     policy_obj, default_mode = _centralized_system(policy, epsilon, systems)
     if speculation_mode is None:
@@ -320,53 +236,33 @@ def _centralized_family_kwargs(
         config = CentralizedConfig(
             epsilon=epsilon,
             locality_k_percent=locality_k_percent,
-            speculation_mode=speculation_mode,
+            speculation_mode=SpeculationMode(speculation_mode),
             default_beta=spec.profile.beta,
         )
     return dict(
         cluster=cluster,
         policy=policy_obj,
-        speculation=lambda: make_speculation_policy(speculation),
-        trace=trace.fresh_copy(),
-        straggler_model=_resolve_straggler_model(
-            straggler_model, spec.profile, num_machines=num_machines
-        ),
         config=config,
         datastore=datastore,
-        random_source=RandomSource(seed=run_seed),
-        blacklist_policy=_resolve_blacklist_policy(
-            blacklist_policy,
-            num_machines,
-            strike_threshold=strike_threshold,
-            strike_window=strike_window,
-            eviction_cap=eviction_cap,
-        ),
-        autoscaler=_resolve_autoscaler(
-            autoscaler,
-            resize_schedule=resize_schedule,
-            scale_interval=scale_interval,
-            scale_up_threshold=scale_up_threshold,
-            scale_down_threshold=scale_down_threshold,
-            scale_step=scale_step,
-            min_machines=min_machines,
-        ),
-        obs=_resolve_obs(obs),
+        **_plane_kwargs(trace, spec, num_machines, **shared),
     )
 
 
-def run_centralized(
-    trace: Trace,
-    policy: str,
-    spec: WorkloadSpec,
-    until: Optional[float] = None,
-    **kwargs,
-) -> SimulationResult:
-    """Replay ``trace`` under one centralized policy (build, then run).
+def build_centralized_simulator(
+    trace: Trace, policy: str, spec: WorkloadSpec, **knobs
+) -> CentralizedSimulator:
+    """Construct (without running) a centralized simulator for ``trace``.
 
-    See :func:`build_centralized_simulator` for every keyword.
+    ``policy`` names an entry of :data:`repro.registry.CENTRALIZED_SYSTEMS`.
+    ``knobs`` are the keywords of :func:`_centralized_family_kwargs` and
+    :func:`_plane_kwargs`. The serving driver builds through here too,
+    then primes the engine before calling ``run()``.
     """
-    simulator = build_centralized_simulator(trace, policy, spec, **kwargs)
-    return simulator.run(until=until)
+    return CentralizedSimulator(
+        **_centralized_family_kwargs(
+            trace, policy, spec, registry.CENTRALIZED_SYSTEMS, **knobs
+        )
+    )
 
 
 def build_batch_simulator(
@@ -374,31 +270,11 @@ def build_batch_simulator(
     policy: str,
     spec: WorkloadSpec,
     round_interval: float = 0.5,
-    speculation: str = "late",
-    epsilon: float = 0.1,
-    locality_k_percent: float = 3.0,
-    speculation_mode: Optional[SpeculationMode] = None,
-    straggler_model: Union[StragglerModel, str, None] = None,
-    with_locality: bool = False,
-    slots_per_machine: int = 4,
-    run_seed: int = 7,
-    config: Optional[CentralizedConfig] = None,
-    blacklist_policy: Union[BlacklistPolicy, str, None] = None,
-    strike_threshold: Optional[int] = None,
-    strike_window: Optional[float] = None,
-    eviction_cap: Optional[float] = None,
-    autoscaler: Union[AutoscalerPolicy, str, None] = None,
-    resize_schedule: Optional[str] = None,
-    scale_interval: Optional[float] = None,
-    scale_up_threshold: Optional[float] = None,
-    scale_down_threshold: Optional[float] = None,
-    scale_step: Optional[int] = None,
-    min_machines: Optional[int] = None,
-    obs=_OBS_FROM_ENV,
+    **knobs,
 ) -> BatchSimulator:
     """Construct (without running) a batch-plane simulator for ``trace``.
 
-    Same surface as :func:`build_centralized_simulator` plus
+    Same keywords as :func:`build_centralized_simulator` plus
     ``round_interval``, the period of the recurring scheduling round.
     ``policy`` names an entry of :data:`repro.registry.BATCH_SYSTEMS`.
     Autoscaler resizes land between rounds: the controller requests a
@@ -407,87 +283,33 @@ def build_batch_simulator(
     return BatchSimulator(
         round_interval=round_interval,
         **_centralized_family_kwargs(
-            trace,
-            policy,
-            spec,
-            registry.BATCH_SYSTEMS,
-            speculation=speculation,
-            epsilon=epsilon,
-            locality_k_percent=locality_k_percent,
-            speculation_mode=speculation_mode,
-            straggler_model=straggler_model,
-            with_locality=with_locality,
-            slots_per_machine=slots_per_machine,
-            run_seed=run_seed,
-            config=config,
-            blacklist_policy=blacklist_policy,
-            strike_threshold=strike_threshold,
-            strike_window=strike_window,
-            eviction_cap=eviction_cap,
-            autoscaler=autoscaler,
-            resize_schedule=resize_schedule,
-            scale_interval=scale_interval,
-            scale_up_threshold=scale_up_threshold,
-            scale_down_threshold=scale_down_threshold,
-            scale_step=scale_step,
-            min_machines=min_machines,
-            obs=obs,
+            trace, policy, spec, registry.BATCH_SYSTEMS, **knobs
         ),
     )
-
-
-def run_batch(
-    trace: Trace,
-    policy: str,
-    spec: WorkloadSpec,
-    until: Optional[float] = None,
-    **kwargs,
-) -> SimulationResult:
-    """Replay ``trace`` under the batch plane (build, then run).
-
-    See :func:`build_batch_simulator` for every keyword.
-    """
-    simulator = build_batch_simulator(trace, policy, spec, **kwargs)
-    return simulator.run(until=until)
 
 
 def build_decentralized_simulator(
     trace: Trace,
     system: str,
     spec: WorkloadSpec,
-    speculation: str = "late",
     probe_ratio: Optional[float] = None,
     epsilon: Optional[float] = None,
     refusal_threshold: int = 2,
     num_schedulers: int = 10,
     power_of_d: Optional[int] = None,
-    straggler_model: Union[StragglerModel, str, None] = None,
-    run_seed: int = 7,
     config: Optional[DecentralizedConfig] = None,
-    blacklist_policy: Union[BlacklistPolicy, str, None] = None,
-    strike_threshold: Optional[int] = None,
-    strike_window: Optional[float] = None,
-    eviction_cap: Optional[float] = None,
-    autoscaler: Union[AutoscalerPolicy, str, None] = None,
-    resize_schedule: Optional[str] = None,
-    scale_interval: Optional[float] = None,
-    scale_up_threshold: Optional[float] = None,
-    scale_down_threshold: Optional[float] = None,
-    scale_step: Optional[int] = None,
-    min_machines: Optional[int] = None,
-    obs=_OBS_FROM_ENV,
+    **shared,
 ) -> DecentralizedSimulator:
     """Construct (without running) a decentralized simulator for ``trace``.
 
     ``system`` names an entry of
     :data:`repro.registry.DECENTRALIZED_SYSTEMS`; each entry carries the
     paper's default probe ratio (2 for the baselines, 4 for Hopper) and
-    fairness setting, overridable per experiment. With a blacklist
-    policy the simulator evicts struck workers from the probe pool
-    mid-run (see :mod:`repro.cluster.policy`); with an autoscaler it
-    grows/shrinks the worker set mid-run (see
-    :mod:`repro.cluster.elastic`). The serving driver builds through
-    here too, then primes the engine before ``run()``.
+    fairness setting, overridable per experiment. Every worker is one
+    machine, so blacklist and autoscaler policies act on workers.
+    ``shared`` is every keyword of :func:`_plane_kwargs`. The serving
+    driver builds through here too, then primes the engine before
+    ``run()``.
     """
     defaults = registry.DECENTRALIZED_SYSTEMS.get(system).factory()
     if config is None:
@@ -511,47 +333,10 @@ def build_decentralized_simulator(
         )
     return DecentralizedSimulator(
         num_workers=spec.total_slots,
-        speculation=lambda: make_speculation_policy(speculation),
-        trace=trace.fresh_copy(),
-        straggler_model=_resolve_straggler_model(
-            straggler_model, spec.profile, num_machines=spec.total_slots
-        ),
         config=config,
-        random_source=RandomSource(seed=run_seed),
         name=system,
-        blacklist_policy=_resolve_blacklist_policy(
-            blacklist_policy,
-            spec.total_slots,
-            strike_threshold=strike_threshold,
-            strike_window=strike_window,
-            eviction_cap=eviction_cap,
-        ),
-        autoscaler=_resolve_autoscaler(
-            autoscaler,
-            resize_schedule=resize_schedule,
-            scale_interval=scale_interval,
-            scale_up_threshold=scale_up_threshold,
-            scale_down_threshold=scale_down_threshold,
-            scale_step=scale_step,
-            min_machines=min_machines,
-        ),
-        obs=_resolve_obs(obs),
+        **_plane_kwargs(trace, spec, spec.total_slots, **shared),
     )
-
-
-def run_decentralized(
-    trace: Trace,
-    system: str,
-    spec: WorkloadSpec,
-    until: Optional[float] = None,
-    **kwargs,
-) -> SimulationResult:
-    """Replay ``trace`` under one decentralized system (build, then run).
-
-    See :func:`build_decentralized_simulator` for every keyword.
-    """
-    simulator = build_decentralized_simulator(trace, system, spec, **kwargs)
-    return simulator.run(until=until)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ Now every named thing registers here exactly once, with:
   thing is parameterizable, and
 * a one-line **description** surfaced by ``python -m repro list``.
 
-``RunSpec`` validation, the harness runners, and the CLI all resolve
+``RunSpec`` validation, the harness builders, and the CLI all resolve
 through these registries, so registering a new entry makes it usable
 end-to-end (spec -> sweep -> study -> CLI) with no other edits:
 
@@ -100,9 +100,6 @@ def type_label(expected: Union[type, Tuple[type, ...]]) -> str:
     return expected.__name__
 
 
-_type_label = type_label
-
-
 def _type_matches(value: Any, expected: type) -> bool:
     # bool is an int subclass; keep the two distinct so a schema can
     # demand a real flag (and an int knob reject True/False).
@@ -154,7 +151,7 @@ class Knob:
         expected = self.type if isinstance(self.type, tuple) else (self.type,)
         if not any(_type_matches(value, t) for t in expected):
             raise KnobError(
-                f"knob {self.name!r} must be {_type_label(self.type)}, "
+                f"knob {self.name!r} must be {type_label(self.type)}, "
                 f"got {value!r} ({type(value).__name__})"
             )
         if self.choices is not None:
@@ -971,63 +968,28 @@ _register_workload_profiles()
 # Spec-kind executors and knob schemas
 # --------------------------------------------------------------------------
 
-def _run_centralized_spec(spec):
-    from repro.experiments.harness import build_trace, run_centralized
+def _run_replay_spec(spec):
+    """Executor of the replay kinds (centralized, decentralized, batch).
+
+    Builds the spec's trace, then replays it with
+    :func:`repro.experiments.harness.run_simulator` on the plane named
+    by ``spec.kind``. String-valued knobs (straggler model, speculation
+    mode, ...) stay names here; the plane's builder resolves them with
+    the per-run cluster size.
+    """
+    from repro.experiments.harness import build_trace, run_simulator
 
     wspec = spec.workload.to_workload_spec()
-    trace = build_trace(wspec)
-    kwargs = {k: v for k, v in spec.knobs}
-    mode = kwargs.pop("speculation_mode", None)
-    if mode is not None:
-        from repro.centralized.config import SpeculationMode
-
-        kwargs["speculation_mode"] = SpeculationMode(mode)
-    # A string-valued straggler_model knob stays a name here; the harness
-    # resolves it with the per-run num_machines wired in.
-    return run_centralized(
-        trace,
+    knobs = dict(spec.knobs)
+    return run_simulator(
         spec.system,
+        build_trace(wspec),
         wspec,
+        plane=spec.kind,
+        until=knobs.pop("until", None),
         speculation=spec.speculation,
         run_seed=spec.run_seed,
-        **kwargs,
-    )
-
-
-def _run_decentralized_spec(spec):
-    from repro.experiments.harness import build_trace, run_decentralized
-
-    wspec = spec.workload.to_workload_spec()
-    trace = build_trace(wspec)
-    kwargs = {k: v for k, v in spec.knobs}
-    return run_decentralized(
-        trace,
-        spec.system,
-        wspec,
-        speculation=spec.speculation,
-        run_seed=spec.run_seed,
-        **kwargs,
-    )
-
-
-def _run_batch_spec(spec):
-    from repro.experiments.harness import build_trace, run_batch
-
-    wspec = spec.workload.to_workload_spec()
-    trace = build_trace(wspec)
-    kwargs = {k: v for k, v in spec.knobs}
-    mode = kwargs.pop("speculation_mode", None)
-    if mode is not None:
-        from repro.centralized.config import SpeculationMode
-
-        kwargs["speculation_mode"] = SpeculationMode(mode)
-    return run_batch(
-        trace,
-        spec.system,
-        wspec,
-        speculation=spec.speculation,
-        run_seed=spec.run_seed,
-        **kwargs,
+        **knobs,
     )
 
 
@@ -1406,7 +1368,7 @@ SPEC_KINDS.register(
         name="centralized",
         systems=CENTRALIZED_SYSTEMS,
         knobs={knob.name: knob for knob in _CENTRALIZED_KNOBS},
-        run=_run_centralized_spec,
+        run=_run_replay_spec,
         description="one omniscient scheduler over the whole cluster",
     ),
     description="one omniscient scheduler over the whole cluster",
@@ -1417,7 +1379,7 @@ SPEC_KINDS.register(
         name="decentralized",
         systems=DECENTRALIZED_SYSTEMS,
         knobs={knob.name: knob for knob in _DECENTRALIZED_KNOBS},
-        run=_run_decentralized_spec,
+        run=_run_replay_spec,
         description="Sparrow-style probe-based schedulers (the paper's scale)",
     ),
     description="Sparrow-style probe-based schedulers (the paper's scale)",
@@ -1428,7 +1390,7 @@ SPEC_KINDS.register(
         name="batch",
         systems=BATCH_SYSTEMS,
         knobs={knob.name: knob for knob in _BATCH_KNOBS},
-        run=_run_batch_spec,
+        run=_run_replay_spec,
         description=(
             "periodic scheduling rounds over an accumulated pending "
             "buffer (Firmament-style batch mode)"

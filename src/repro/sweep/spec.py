@@ -28,21 +28,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro import registry as _registry
 
-#: Snapshot of the registered system names at import time, kept for
-#: backward compatibility. Validation uses the live registries, so
-#: systems registered later are accepted by RunSpec even though they do
-#: not appear in these tuples.
-CENTRALIZED_SYSTEMS = _registry.CENTRALIZED_SYSTEMS.names()
-DECENTRALIZED_SYSTEMS = _registry.DECENTRALIZED_SYSTEMS.names()
-
-#: Knob names per kind (snapshots of the registry schemas).
-CENTRALIZED_KNOBS = frozenset(_registry.spec_kind("centralized").knobs)
-DECENTRALIZED_KNOBS = frozenset(_registry.spec_kind("decentralized").knobs)
-
 _SCALAR_TYPES = (bool, int, float, str, type(None))
-
-#: Names accepted by :func:`repro.speculation.make_speculation_policy`.
-SPECULATION_ALGORITHMS = _registry.SPECULATION_POLICIES.names()
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,47 @@
 """Smoke tests for the ``python -m repro`` CLI."""
 
 
-from repro.cli import main
+from repro.cli import _FIGURES, main
+
+
+def _list_section(out, title):
+    """The first word of every entry line under ``title`` in ``repro list``."""
+    block = out.split(f"\n{title}")[1].split("\n\n")[0]
+    return [line.split()[0] for line in block.splitlines()[1:]]
 
 
 def test_list_prints_every_figure(capsys):
+    from repro import registry
+    from repro.serving.arrivals import ARRIVAL_PROCESSES
+
     assert main(["list"]) == 0
     out = capsys.readouterr().out
+    studies = registry.studies()
+    assert _list_section(out, "Available figures") == list(_FIGURES)
     for name in ("fig3", "fig6", "fig12", "headline"):
-        assert name in out
+        assert studies.get(name).description in out
+    assert _list_section(out, "Autoscaler policies") == list(
+        registry.AUTOSCALER_POLICIES.names()
+    )
+    assert _list_section(out, "Arrival processes") == list(
+        ARRIVAL_PROCESSES.names()
+    )
+
+
+def test_every_figure_runs_its_study_quick_grid():
+    """``run NAME --quick`` passes the Study's quick grid to the figure
+    function, so every key of that grid must be one of its parameters."""
+    import inspect
+
+    from repro import registry
+    from repro.experiments import figures
+
+    studies = registry.studies()
+    for name, (func_name, _) in _FIGURES.items():
+        params = inspect.signature(getattr(figures, func_name)).parameters
+        quick = studies.get(name).factory.quick
+        assert quick and set(quick) <= set(params), name
+        assert "runner" in params, name
 
 
 def test_run_rejects_unknown_figure(capsys):

@@ -249,7 +249,7 @@ def test_request_conservation_over_a_full_run():
     from repro.experiments.harness import (
         WorkloadSpec,
         build_trace,
-        run_decentralized,
+        run_simulator,
     )
     from repro.obs import Obs
 
@@ -258,10 +258,11 @@ def test_request_conservation_over_a_full_run():
     )
     trace = build_trace(spec)
     obs = Obs()
-    result = run_decentralized(
-        trace,
+    result = run_simulator(
         "hopper",
+        trace,
         spec,
+        plane="decentralized",
         straggler_model="machine-correlated",
         blacklist_policy="strikes",
         strike_threshold=3,
@@ -282,10 +283,11 @@ def test_request_conservation_over_a_full_run():
         counts.get("msg.batches", 0) + counts.get("msg.coalesced", 0)
     )
     # The unconditional field matches an uninstrumented replay exactly.
-    bare = run_decentralized(
-        trace,
+    bare = run_simulator(
         "hopper",
+        trace,
         spec,
+        plane="decentralized",
         straggler_model="machine-correlated",
         blacklist_policy="strikes",
         strike_threshold=3,

@@ -33,9 +33,7 @@ from repro.experiments.harness import (
     WorkloadSpec,
     build_decentralized_simulator,
     build_trace,
-    run_batch,
-    run_centralized,
-    run_decentralized,
+    run_simulator,
 )
 from repro.serving.driver import _PLANE_PROBES
 from repro.serving.windows import ServingRegime, WindowedAggregator
@@ -197,27 +195,21 @@ def test_floors_memo_invalidates_on_membership_change():
 
 _SPEC = WorkloadSpec(num_jobs=12, utilization=0.6, total_slots=48, seed=9)
 
-_RUNNERS = {
-    "centralized": run_centralized,
-    "batch": run_batch,
-    "decentralized": run_decentralized,
-}
-
-
-@pytest.mark.parametrize("plane", sorted(_RUNNERS))
+@pytest.mark.parametrize("plane", ["batch", "centralized", "decentralized"])
 def test_planes_complete_trace_through_shrink_and_grow(plane):
     """A shrink mid-run kills running copies; the kill→requeue path must
     still complete every job once capacity returns, on every plane."""
     trace = build_trace(_SPEC)
-    result = _RUNNERS[plane](
-        trace,
+    result = run_simulator(
         "hopper",
+        trace,
         _SPEC,
+        plane=plane,
         autoscaler="schedule",
         resize_schedule="2:-4,10:+4",
     )
     assert len(result.jobs) == _SPEC.num_jobs
-    baseline = _RUNNERS[plane](trace, "hopper", _SPEC)
+    baseline = run_simulator("hopper", trace, _SPEC, plane=plane)
     assert len(baseline.jobs) == _SPEC.num_jobs
     # The resize is not inert: some job's completion time moved.
     resized = {r.job_id: r.finish_time for r in result.jobs}

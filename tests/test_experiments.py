@@ -6,8 +6,7 @@ import pytest
 from repro.experiments.harness import (
     WorkloadSpec,
     build_trace,
-    run_centralized,
-    run_decentralized,
+    run_simulator,
 )
 from repro.experiments.motivating import (
     TASKS,
@@ -77,41 +76,43 @@ def test_workload_spec_validation():
         _tiny_spec(total_slots=0)
 
 
-def test_run_centralized_all_policies():
+def test_run_simulator_centralized_all_policies():
     spec = _tiny_spec()
     trace = build_trace(spec)
     for policy in ("fair", "srpt", "hopper"):
-        result = run_centralized(trace, policy, spec)
+        result = run_simulator(policy, trace, spec, plane="centralized")
         assert result.num_jobs == 20
     with pytest.raises(ValueError):
-        run_centralized(trace, "bogus", spec)
+        run_simulator("bogus", trace, spec, plane="centralized")
 
 
-def test_run_centralized_does_not_mutate_trace():
+def test_run_simulator_does_not_mutate_trace():
     spec = _tiny_spec()
     trace = build_trace(spec)
-    run_centralized(trace, "srpt", spec)
+    run_simulator("srpt", trace, spec, plane="centralized")
     assert all(j.finish_time is None for j in trace.jobs)
     # replayable again
-    result = run_centralized(trace, "srpt", spec)
+    result = run_simulator("srpt", trace, spec, plane="centralized")
     assert result.num_jobs == 20
 
 
-def test_run_decentralized_all_systems():
+def test_run_simulator_decentralized_all_systems():
     spec = _tiny_spec()
     trace = build_trace(spec)
     for system in ("sparrow", "sparrow-srpt", "hopper"):
-        result = run_decentralized(trace, system, spec)
+        result = run_simulator(system, trace, spec, plane="decentralized")
         assert result.num_jobs == 20
     with pytest.raises(ValueError):
-        run_decentralized(trace, "bogus", spec)
+        run_simulator("bogus", trace, spec, plane="decentralized")
 
 
-def test_run_decentralized_speculation_algorithms():
+def test_run_simulator_decentralized_speculation_algorithms():
     spec = _tiny_spec()
     trace = build_trace(spec)
     for algo in ("late", "mantri", "grass"):
-        result = run_decentralized(trace, "hopper", spec, speculation=algo)
+        result = run_simulator(
+            "hopper", trace, spec, plane="decentralized", speculation=algo
+        )
         assert result.num_jobs == 20
 
 

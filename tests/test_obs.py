@@ -18,8 +18,7 @@ import pytest
 from repro.experiments.harness import (
     WorkloadSpec,
     build_trace,
-    run_centralized,
-    run_decentralized,
+    run_simulator,
 )
 from repro.metrics.serialize import result_from_dict, result_to_dict
 from repro.obs import (
@@ -149,7 +148,7 @@ def test_aggregate_timers_and_counters_skip_empty_reports():
 @pytest.fixture(scope="module")
 def traced_run():
     obs = Obs(trace=True)
-    result = run_decentralized(build_trace(SPEC), "hopper", SPEC, obs=obs)
+    result = run_simulator("decentralized/hopper", build_trace(SPEC), SPEC, obs=obs)
     return obs, result
 
 
@@ -212,10 +211,9 @@ def test_obs_on_does_not_perturb_results(kind):
     simulation results; instrumentation may never consume entropy or
     reorder events. With obs off the document is the pre-obs schema-1
     shape exactly (that is what keeps the golden study digests pinned)."""
-    runner = run_centralized if kind == "centralized" else run_decentralized
     trace = build_trace(SPEC)
-    off = runner(trace, "hopper", SPEC, obs=None)
-    on = runner(trace, "hopper", SPEC, obs=Obs(trace=True))
+    off = run_simulator("hopper", trace, SPEC, plane=kind, obs=None)
+    on = run_simulator("hopper", trace, SPEC, plane=kind, obs=Obs(trace=True))
 
     off_doc = result_to_dict(off)
     assert off_doc["schema_version"] == 1
@@ -235,10 +233,11 @@ def test_obs_on_does_not_perturb_results(kind):
 
 def test_schema2_round_trip_preserves_obs_section():
     obs = Obs(trace=True)
-    result = run_decentralized(
-        build_trace(SPEC),
+    result = run_simulator(
         "hopper",
+        build_trace(SPEC),
         SPEC,
+        plane="decentralized",
         straggler_model="machine-correlated",
         blacklist_policy="strikes",
         strike_threshold=3,
@@ -262,7 +261,7 @@ def test_schema2_round_trip_preserves_obs_section():
 
 def test_unknown_schema_version_rejected():
     doc = result_to_dict(
-        run_decentralized(build_trace(SPEC), "hopper", SPEC, obs=None)
+        run_simulator("decentralized/hopper", build_trace(SPEC), SPEC, obs=None)
     )
     doc["schema_version"] = 99
     with pytest.raises(ValueError):
@@ -274,10 +273,11 @@ def test_unknown_schema_version_rejected():
 
 def test_decentralized_eviction_accounting_and_conservation():
     obs = Obs(trace=True)
-    result = run_decentralized(
-        build_trace(SPEC),
+    result = run_simulator(
         "hopper",
+        build_trace(SPEC),
         SPEC,
+        plane="decentralized",
         straggler_model="machine-correlated",
         blacklist_policy="strikes",
         strike_threshold=3,
@@ -312,10 +312,11 @@ def test_decentralized_eviction_accounting_and_conservation():
 
 def test_centralized_eviction_accounting_and_phase_timers():
     obs = Obs(trace=True)
-    result = run_centralized(
-        build_trace(SPEC),
+    result = run_simulator(
         "hopper",
+        build_trace(SPEC),
         SPEC,
+        plane="centralized",
         straggler_model="machine-correlated",
         blacklist_policy="strikes",
         obs=obs,
@@ -340,10 +341,11 @@ def test_machine_strikes_survive_without_obs():
     """Strike totals are unconditional diagnostics: they populate the
     in-memory result even on an uninstrumented run (they ride the
     existing blacklist bookkeeping, not the obs hot path)."""
-    result = run_centralized(
-        build_trace(SPEC),
+    result = run_simulator(
         "hopper",
+        build_trace(SPEC),
         SPEC,
+        plane="centralized",
         straggler_model="machine-correlated",
         blacklist_policy="strikes",
         obs=None,

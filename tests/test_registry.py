@@ -461,3 +461,91 @@ def test_repro_plane_info_rejects_ambiguous_bare_name(capsys):
     assert main(["plane", "info", "hopper"]) == 2
     err = capsys.readouterr().err
     assert "several planes" in err
+
+
+# -- one build path: RunSpec executor == harness builders ---------------------
+
+
+@pytest.mark.parametrize(
+    "kind,system,speculation,knobs",
+    [
+        ("centralized", "hopper", "late", {}),
+        ("centralized", "srpt", "grass", {"speculation_mode": "integrated"}),
+        ("decentralized", "sparrow-srpt", "late", {"probe_ratio": 3.0}),
+        ("decentralized", "hopper", "late", {"until": 10.0}),
+        ("batch", "hopper", "late", {"speculation_mode": "budgeted"}),
+        ("batch", "fair", "mantri", {"until": 10.0, "round_interval": 1.0}),
+    ],
+)
+def test_runspec_execute_matches_run_simulator(kind, system, speculation, knobs):
+    """``RunSpec.execute()`` is exactly the equivalent ``run_simulator``
+    call: string knobs (``speculation_mode``) resolve in the builder,
+    ``until`` bounds the run, and the seeds are forwarded."""
+    from repro.centralized.config import SpeculationMode
+    from repro.experiments.harness import build_trace, run_simulator
+    from repro.metrics.serialize import dumps_result
+
+    spec = RunSpec(
+        kind, system, TINY, speculation=speculation, run_seed=3, knobs=knobs
+    )
+    direct = dict(knobs)
+    if "speculation_mode" in direct:
+        direct["speculation_mode"] = SpeculationMode(direct["speculation_mode"])
+    wspec = TINY.to_workload_spec()
+    expected = run_simulator(
+        system,
+        build_trace(wspec),
+        wspec,
+        plane=kind,
+        speculation=speculation,
+        run_seed=3,
+        **direct,
+    )
+    assert dumps_result(spec.execute()) == dumps_result(expected)
+    if "until" in knobs:
+        assert 0 < expected.num_jobs < TINY.num_jobs  # the horizon cut it
+
+
+#: plane -> the functions whose keywords its builder accepts: each one
+#: forwards its ``**knobs`` to the next.
+_BUILDER_CHAINS = {
+    "centralized": (
+        "build_centralized_simulator",
+        "_centralized_family_kwargs",
+        "_plane_kwargs",
+    ),
+    "decentralized": ("build_decentralized_simulator", "_plane_kwargs"),
+    "batch": (
+        "build_batch_simulator",
+        "_centralized_family_kwargs",
+        "_plane_kwargs",
+    ),
+}
+
+
+@pytest.mark.parametrize("plane", sorted(_BUILDER_CHAINS))
+def test_knob_schema_agrees_with_plane_builder(plane):
+    """Every knob of the kind's schema (``until`` goes to ``run()``) is
+    a keyword of the plane's builder, and where the builder declares a
+    non-None default the knob documents that same default."""
+    import inspect
+
+    from repro.experiments import harness
+
+    chain = [getattr(harness, name) for name in _BUILDER_CHAINS[plane]]
+    assert chain[0] is harness._PLANE_BUILDERS[plane]
+    defaults = {}
+    for fn in chain:
+        params = inspect.signature(fn).parameters.values()
+        kinds = {p.kind for p in params}
+        assert (inspect.Parameter.VAR_KEYWORD in kinds) == (fn is not chain[-1])
+        for p in params:
+            if p.default is not inspect.Parameter.empty:
+                assert p.name not in defaults, f"{p.name} declared twice"
+                defaults[p.name] = p.default
+    for name, knob in registry.spec_kind(plane).knobs.items():
+        if name == "until":
+            continue
+        assert name in defaults, f"{plane} knob {name!r} not a builder keyword"
+        if defaults[name] is not None:
+            assert knob.default == defaults[name], name

@@ -353,14 +353,19 @@ def test_harness_wires_cluster_size_into_machine_correlated(monkeypatch):
     monkeypatch.setattr(harness.registry, "make_straggler_model", spy)
     wspec = harness.WorkloadSpec(num_jobs=4, total_slots=24)
     trace = harness.build_trace(wspec)
-    harness.run_decentralized(
-        trace, "hopper", wspec, straggler_model="machine-correlated"
+    harness.run_simulator(
+        "hopper",
+        trace,
+        wspec,
+        plane="decentralized",
+        straggler_model="machine-correlated",
     )
     assert seen["num_machines"] == 24  # one slot per worker
-    harness.run_centralized(
-        trace,
+    harness.run_simulator(
         "srpt",
+        trace,
         wspec,
+        plane="centralized",
         straggler_model="machine-correlated",
         slots_per_machine=4,
     )
