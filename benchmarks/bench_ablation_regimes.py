@@ -33,7 +33,7 @@ def _run(trace, spec, force_regime=None, default_beta=None):
         cluster=Cluster(num_machines=spec.total_slots // 4, slots_per_machine=4),
         policy=HopperPolicy(epsilon=0.1, force_regime=force_regime),
         speculation=lambda: make_speculation_policy("late"),
-        trace=trace.fresh_copy(),
+        trace=trace,
         straggler_model=default_straggler_model(spec.profile),
         config=config,
         random_source=RandomSource(seed=7),

@@ -16,6 +16,7 @@ from repro.experiments.harness import (
     run_simulator,
 )
 from repro.metrics.analysis import mean_reduction_percent
+from repro.speculation.base import JobExecutionView
 from repro.workload.generator import FACEBOOK_PROFILE
 from repro.workload.job import make_chain_job
 
@@ -41,7 +42,9 @@ def alpha_estimation_demo() -> None:
         name="nightly-report",
     )
     predicted = estimator.predict_phase_output("nightly-report", 0)
-    alpha = estimator.predict_alpha(new_run)
+    # Alpha depends on the run's progress; a fresh view is a run in
+    # which nothing has finished yet.
+    alpha = estimator.predict_alpha(JobExecutionView(job=new_run))
     print(f"predicted intermediate output: {predicted:.1f} (actual 40.0)")
     print(f"predicted alpha for the new run: {alpha:.2f}")
     print(f"estimator accuracy so far: {estimator.accuracy:.0%}\n")

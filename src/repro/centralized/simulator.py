@@ -7,8 +7,10 @@ copies proposed by the job's speculation algorithm. When any copy of a
 task finishes, its sibling copies are killed and their slot-time is
 accounted as speculation waste.
 
-The simulator owns all runtime state; jobs/tasks keep only the minimal
-flags needed for replay (`reset_runtime_state`).
+The trace is immutable: the simulator owns all runtime state, and each
+job's progress lives in its runtime's
+:class:`~repro.speculation.base.JobExecutionView`, so the same trace can
+be replayed any number of times.
 
 Scale-out notes (10k+-slot clusters):
 
@@ -73,7 +75,7 @@ from repro.speculation.base import SpeculationPolicy
 from repro.stragglers.model import StragglerModel
 from repro.stragglers.progress import TaskCopy
 from repro.workload.job import Job
-from repro.workload.task import Task, TaskState
+from repro.workload.task import Task
 from repro.workload.traces import Trace
 
 
@@ -84,8 +86,13 @@ class _JobRuntime(LocalityJobRuntime):
 
     __slots__ = ("running_copies", "running_speculative")
 
-    def __init__(self, job: Job, spec_policy: SpeculationPolicy) -> None:
-        super().__init__(job, spec_policy)
+    def __init__(
+        self,
+        job: Job,
+        spec_policy: SpeculationPolicy,
+        datastore: Optional[DataStore],
+    ) -> None:
+        super().__init__(job, spec_policy, datastore)
         self.running_copies = 0
         self.running_speculative = 0
 
@@ -103,7 +110,7 @@ class CentralizedSimulator:
         Factory returning a (possibly shared) speculation policy; called
         once per job so stateful policies stay per-job.
     trace:
-        Jobs to replay (runtime state must be fresh).
+        Jobs to replay (never modified; see the module docstring).
     straggler_model:
         Slowdown generator.
     config:
@@ -254,10 +261,10 @@ class CentralizedSimulator:
             return self.beta_estimator.beta
         return self.config.default_beta
 
-    def _job_alpha(self, job: Job) -> float:
-        if not self.config.use_alpha or job.num_phases == 1:
+    def _job_alpha(self, jr: _JobRuntime) -> float:
+        if not self.config.use_alpha or jr.job.num_phases == 1:
             return 1.0
-        return self.alpha_estimator.predict_alpha(job)
+        return self.alpha_estimator.predict_alpha(jr.view)
 
     def _allocation_states(self) -> List[JobAllocationState]:
         """From-scratch allocation-state builder.
@@ -270,14 +277,14 @@ class CentralizedSimulator:
         beta = self._beta()
         states: List[JobAllocationState] = []
         for jr in self._jobs.values():
-            remaining = jr.job.remaining_tasks()
+            remaining = jr.view.remaining_tasks()
             if remaining <= 0:
                 continue
-            alpha = self._job_alpha(jr.job)
+            alpha = self._job_alpha(jr)
             vsize = virtual_size(remaining, beta, alpha)
             priority = vsize
             if self.policy.uses_virtual_sizes and jr.job.num_phases > 1:
-                downstream_tasks = jr.job.downstream_virtual_tasks(
+                downstream_tasks = jr.view.downstream_virtual_tasks(
                     self.config.network_rate
                 )
                 if downstream_tasks > 0:
@@ -304,7 +311,7 @@ class CentralizedSimulator:
         """Bring one job's cached allocation state up to date.
 
         A dirty job re-reads its inputs (remaining tasks, alpha,
-        downstream virtual tasks) from the job structures; a clean job
+        downstream virtual tasks) from the job's progress; a clean job
         reuses the cached inputs and only re-derives the beta-dependent
         floats (``realpha`` additionally re-predicts alpha when the
         estimator's history moved — another job's completion can change
@@ -315,15 +322,15 @@ class CentralizedSimulator:
         job = jr.job
         if jr.alloc_dirty:
             jr.alloc_dirty = False
-            remaining = job.remaining_tasks()
+            remaining = jr.view.remaining_tasks()
             jr.alloc_remaining = remaining
             if remaining <= 0:
                 self._alloc.remove(job.job_id)
                 return
-            jr.alloc_alpha = self._job_alpha(job)
+            jr.alloc_alpha = self._job_alpha(jr)
             jr.alloc_downstream = 0.0
             if self.policy.uses_virtual_sizes and job.num_phases > 1:
-                jr.alloc_downstream = job.downstream_virtual_tasks(
+                jr.alloc_downstream = jr.view.downstream_virtual_tasks(
                     self.config.network_rate
                 )
         else:
@@ -331,7 +338,7 @@ class CentralizedSimulator:
             if remaining <= 0:
                 return
             if realpha:
-                jr.alloc_alpha = self._job_alpha(job)
+                jr.alloc_alpha = self._job_alpha(jr)
         vsize = virtual_size(remaining, beta, jr.alloc_alpha)
         priority = vsize
         if jr.alloc_downstream > 0:
@@ -377,10 +384,10 @@ class CentralizedSimulator:
             self._alloc_dirty_jobs.clear()
         return self._alloc.states()
 
-    def _pick_machine(self, task: Task) -> Optional[int]:
+    def _pick_machine(self, jr: _JobRuntime, task: Task) -> Optional[int]:
         """Free machine for a copy: local replica holder if possible."""
         machines = self.cluster.machines
-        for machine_id in task.preferred_machines:
+        for machine_id in jr.local_machines(task):
             if machines[machine_id].has_free_slot:
                 return machine_id
         index = self.cluster.index
@@ -410,7 +417,7 @@ class CentralizedSimulator:
             )
         if self.datastore is not None:
             self.datastore.place_job_inputs(job)
-        jr = _JobRuntime(job, self.speculation_factory())
+        jr = _JobRuntime(job, self.speculation_factory(), self.datastore)
         jr.activate_runnable_phases()
         self._jobs[job.job_id] = jr
         self._alloc.reserve(job.job_id)
@@ -442,7 +449,7 @@ class CentralizedSimulator:
         self._ensure_spec_check()
 
     def _launch_copy(self, jr: _JobRuntime, task: Task, speculative: bool) -> bool:
-        machine_id = self._pick_machine(task)
+        machine_id = self._pick_machine(jr, task)
         if machine_id is None:
             return False
         attempt = jr.view.attempts(task)
@@ -473,7 +480,6 @@ class CentralizedSimulator:
             self._spec_job_ids.add(jr.job.job_id)
         else:
             self._running_original_copies += 1
-        task.state = TaskState.RUNNING
         self.cluster.acquire_slot(machine_id)
         return True
 
@@ -512,7 +518,7 @@ class CentralizedSimulator:
             # A won race is the one event that moves this job's
             # allocation inputs (remaining tasks, phase front, alpha).
             jr.alloc_dirty = True
-            if jr.job.is_complete:
+            if jr.view.is_complete:
                 self._complete_job(jr)
             else:
                 self._alloc_dirty_jobs.add(jr.job.job_id)
@@ -527,7 +533,7 @@ class CentralizedSimulator:
         self._reschedule()
 
     def _complete_job(self, jr: _JobRuntime) -> None:
-        self.ledger.record_job_completion(jr.job, self.alpha_estimator)
+        self.ledger.record_job_completion(jr.view, self.alpha_estimator)
         job_id = jr.job.job_id
         del self._jobs[job_id]
         self._alloc.remove(job_id)
@@ -567,13 +573,13 @@ class CentralizedSimulator:
         orphaned: List[tuple] = []
         for c, jr in victims:
             self._kill_copy(c, jr)
-            if not c.task.is_finished:
+            if c.task.task_id not in jr.view.finished:
                 orphaned.append((c.task, jr))
         for task, jr in orphaned:
             # Only requeue when no sibling copy survived the kill —
             # a live copy elsewhere still carries the task.
-            if jr.view.num_live_copies(task) == 0 and jr.requeue(task):
-                task.state = TaskState.PENDING
+            if jr.view.num_live_copies(task) == 0:
+                jr.requeue(task)
         return len(victims)
 
     def _evict_machine(self, machine_id: int) -> None:
@@ -865,7 +871,7 @@ class CentralizedSimulator:
                     state.job_id, 0
                 ):
                     break
-                if request.task.is_finished:
+                if request.task.task_id in jr.view.finished:
                     continue
                 max_copies = jr.spec_policy.max_copies_per_task()
                 if jr.view.num_live_copies(request.task) >= max_copies:

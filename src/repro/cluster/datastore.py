@@ -3,7 +3,8 @@
 Input-phase tasks read a block stored on a small set of machines; running
 on one of them is "data local", otherwise the task reads over the network
 and runs slower (§4.4). The :class:`DataStore` assigns replica placements
-and answers locality queries.
+and answers locality queries. Placements live in the store, never on the
+(immutable) tasks.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class DataStore:
                 self._rng.sample(range(self.num_machines), self.replicas)
             )
         self._placements[task.task_id] = placement
-        task.preferred_machines = placement
         return placement
 
     def place_job_inputs(self, job: Job) -> None:
@@ -82,4 +82,7 @@ class DataStore:
         return 1.0 if self.is_local(task, machine_id) else self.remote_penalty
 
     def local_machines(self, task: Task) -> Sequence[int]:
+        """The task's replica holders: its placement, or the trace's own
+        preference for a task never placed. Locality dispatch reads every
+        preference through here."""
         return self._placements.get(task.task_id, task.preferred_machines)

@@ -88,7 +88,7 @@ class SchedulerAgent:
             job_id=job.job_id,
             scheduler_id=self.scheduler_id,
             virtual_size=0.0,
-            remaining_tasks=job.remaining_tasks(),
+            remaining_tasks=job.num_tasks,
         )
         sj = SchedulerJob(
             job=job,
@@ -156,9 +156,9 @@ class SchedulerAgent:
         beta = self.sim.beta()
         alpha = 1.0
         if self._use_alpha and len(sj.job.phases) > 1:
-            alpha = self.sim.alpha_estimator.predict_alpha(sj.job)
+            alpha = self.sim.alpha_estimator.predict_alpha(sj.view)
         if remaining is None:
-            remaining = sj.job.remaining_tasks()
+            remaining = sj.view.remaining_tasks()
         # Inlined repro.core.virtual_size.virtual_size (identical float
         # operations in identical order) — this runs per gossip refresh.
         if remaining == 0:
@@ -179,7 +179,7 @@ class SchedulerAgent:
 
     def _refresh_gossip(self, sj: SchedulerJob) -> None:
         gossip = sj.gossip
-        remaining = sj.job.remaining_tasks()
+        remaining = sj.view.remaining_tasks()
         gossip.virtual_size = self._virtual_size(sj, remaining)
         gossip.remaining_tasks = remaining
         if self._fairness_off:
@@ -199,10 +199,11 @@ class SchedulerAgent:
         if not candidates:
             return None
         copies_by_task = sj.view.copies_by_task
+        finished = sj.view.finished
         max_copies = sj.spec_policy.max_copies_per_task()
         for request in candidates:
             task = request.task
-            if task.is_finished:
+            if task.task_id in finished:
                 continue
             live = copies_by_task.get(task.task_id)
             if live is not None and len(live) >= max_copies:
@@ -238,7 +239,7 @@ class SchedulerAgent:
     ) -> None:
         job_id = request.gossip.job_id
         sj = self.jobs.get(job_id)
-        if sj is None or sj.job.is_complete:
+        if sj is None or sj.view.is_complete:
             self._send(worker.on_no_task, episode, request)
             return
         sj.last_activity = self._engine._now
@@ -327,7 +328,7 @@ class SchedulerAgent:
         """
         job_id = request.gossip.job_id
         sj = self.jobs.get(job_id)
-        if sj is None or sj.job.is_complete:
+        if sj is None or sj.view.is_complete:
             # Job completion already dropped its bookkeeping; nothing to
             # release.
             self._send(worker.on_no_task, episode, request)

@@ -371,12 +371,12 @@ class DecentralizedSimulator:
             if sj is not None:
                 scheduler.on_copy_gone(sj)
                 if (
-                    not task.is_finished
+                    task.task_id not in sj.view.finished
                     and sj.view.num_live_copies(task) == 0
                 ):
                     scheduler.requeue_task(sj, task)
             return
-        if sj is None or task.is_finished:
+        if sj is None or task.task_id in sj.view.finished:
             # Raced with completion between accept and arrival; release the
             # eager occupancy reservation made at accept time.
             if sj is not None:
@@ -409,7 +409,7 @@ class DecentralizedSimulator:
         # that must observe the pre-finish view/gossip, exactly as the
         # pre-ledger simulator did, so the view update comes after.
         self.workers[copy.machine_id].release_copy(copy)
-        won = self.ledger.record_finish(copy)
+        won = self.ledger.record_finish(copy, None if sj is None else sj.view)
         if sj is None:
             return
         sj.view.remove_copy(copy)
@@ -420,7 +420,7 @@ class DecentralizedSimulator:
             scheduler.on_task_finished(sj, task)
             for sibling in siblings:
                 self._kill_copy(sibling, scheduler, sj)
-            if sj.job.is_complete:
+            if sj.view.is_complete:
                 self._complete_job(scheduler, sj)
         if self.blacklist_policy is not None:
             self._observe_blacklist(copy, sj)
@@ -439,7 +439,7 @@ class DecentralizedSimulator:
 
     def _complete_job(self, scheduler: SchedulerAgent, sj: SchedulerJob) -> None:
         job = sj.job
-        self.ledger.record_job_completion(job, self.alpha_estimator)
+        self.ledger.record_job_completion(sj.view, self.alpha_estimator)
         scheduler.complete_job(sj)
         self._purge_job_requests(job.job_id)
         self._owner.pop(job.job_id, None)
@@ -480,7 +480,7 @@ class DecentralizedSimulator:
             if sj is None:
                 continue
             self._kill_copy(copy, scheduler, sj)
-            if not copy.task.is_finished:
+            if copy.task.task_id not in sj.view.finished:
                 orphaned.append((scheduler, sj, copy.task))
         for scheduler, sj, task in orphaned:
             # A task whose ONLY live copy died here is requeued even if
@@ -600,7 +600,7 @@ class DecentralizedSimulator:
                 if sj is None:
                     continue
                 self._kill_copy(copy, scheduler, sj)
-                if not copy.task.is_finished:
+                if copy.task.task_id not in sj.view.finished:
                     orphaned.append((scheduler, sj, copy.task))
             removed += 1
         # Pool refresh BEFORE requeueing (same ordering as eviction), so

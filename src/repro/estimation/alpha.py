@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.speculation.base import JobExecutionView
 from repro.workload.job import Job
 
 
@@ -35,7 +36,7 @@ class AlphaEstimator:
         # exact float mean a stored history would produce.
         self._sums: Dict[Tuple[str, int], Tuple[float, int]] = {}
         # predict_alpha memo: job_id -> (finished tasks, history version,
-        # alpha). Alpha is a pure function of the job's per-phase finish
+        # alpha). Alpha is a pure function of the run's per-phase finish
         # counts (monotone, so their total identifies the state) and of
         # the recorded history (versioned below). Entries are evicted
         # when their job completes.
@@ -93,17 +94,17 @@ class AlphaEstimator:
         total, count = entry
         return total / count
 
-    def predict_alpha(self, job: Job) -> float:
-        """Alpha using *predicted* intermediate sizes.
+    def predict_alpha(self, view: JobExecutionView) -> float:
+        """Alpha of one job in one run, using *predicted* intermediate sizes.
 
         Computes remaining downstream communication over remaining
-        upstream work for the job's running front, exactly like
-        ``Job.alpha`` but substituting historical predictions for actual
-        output sizes. Returns 1.0 when there is no applicable history.
+        upstream work for the job's running front (from the run's
+        progress in ``view``), substituting historical predictions for
+        actual output sizes. Returns 1.0 when there is no applicable
+        history.
         """
-        finished = 0
-        for phase in job.phases:
-            finished += phase._finished_count
+        job = view.job
+        finished = len(view.finished)
         cached = self._alpha_cache.get(job.job_id)
         if (
             cached is not None
@@ -115,16 +116,14 @@ class AlphaEstimator:
         upstream_work = 0.0
         downstream_comm = 0.0
         saw_prediction = False
-        for phase in job.current_phases():
-            upstream_work += phase.remaining_work()
+        for phase in view.runnable_phases():
+            upstream_work += view.phase_remaining_work(phase)
             predicted = self.predict_phase_output(job.name, phase.index)
             if predicted is None:
                 continue
-            remaining_fraction = (
-                phase.remaining_tasks / phase.num_tasks if phase.num_tasks else 0.0
-            )
+            remaining_fraction = view.phase_remaining_fraction(phase)
             for child in job.downstream_of(phase):
-                if not child.is_complete:
+                if not view.phase_is_complete(child):
                     saw_prediction = True
                     downstream_comm += (
                         predicted * remaining_fraction / self.network_rate

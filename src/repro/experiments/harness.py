@@ -12,7 +12,7 @@ code and ``RunSpec`` executors stay declarative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro import registry
 from repro.batch.simulator import BatchSimulator
@@ -29,6 +29,7 @@ from repro.metrics.collector import SimulationResult
 from repro.obs import obs_from_env
 from repro.simulation.rng import RandomSource
 from repro.speculation import make_speculation_policy
+from repro.speculation.base import SpeculationPolicy
 from repro.stragglers.model import ParetoRedrawStragglerModel, StragglerModel
 from repro.workload.generator import (
     FACEBOOK_PROFILE,
@@ -140,7 +141,7 @@ def _plane_kwargs(
     trace: Trace,
     spec: WorkloadSpec,
     num_machines: int,
-    speculation: str = "late",
+    speculation: Union[str, Callable[[], SpeculationPolicy]] = "late",
     straggler_model: Union[StragglerModel, str, None] = None,
     run_seed: int = 7,
     blacklist_policy: Union[BlacklistPolicy, str, None] = None,
@@ -158,17 +159,23 @@ def _plane_kwargs(
 ) -> dict:
     """Constructor kwargs every plane shares.
 
-    The trace is deep-copied, so the same object can be replayed under
-    several systems. String-valued ``straggler_model`` /
-    ``blacklist_policy`` / ``autoscaler`` resolve through
-    :mod:`repro.registry` with the run's ``num_machines`` wired in. With
+    The trace is passed as is: it is immutable, so the same object can
+    be replayed under several systems. ``speculation`` is a registered
+    policy name or a zero-argument factory returning a fresh policy per
+    job. String-valued ``straggler_model`` / ``blacklist_policy`` /
+    ``autoscaler`` resolve through :mod:`repro.registry` with the run's
+    ``num_machines`` wired in. With
     a blacklist policy the simulator evicts struck machines mid-run (see
     :mod:`repro.cluster.policy`); with an autoscaler it resizes the
     cluster mid-run (see :mod:`repro.cluster.elastic`).
     """
     return dict(
-        speculation=lambda: make_speculation_policy(speculation),
-        trace=trace.fresh_copy(),
+        speculation=(
+            (lambda: make_speculation_policy(speculation))
+            if isinstance(speculation, str)
+            else speculation
+        ),
+        trace=trace,
         straggler_model=_resolve_straggler_model(
             straggler_model, spec.profile, num_machines=num_machines
         ),

@@ -62,6 +62,7 @@ Registries
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -1002,11 +1003,17 @@ def _run_single_job_spec(spec):
     seeding math reproduces the original figure loop exactly, so curves
     are bit-identical to the pre-registry implementation. The trace-shape
     fields of ``workload`` other than ``seed`` are unused (the single
-    job is synthesized directly from the knobs).
+    job is synthesized directly from the knobs). ``spec.system`` names an
+    entry of :data:`SINGLE_JOB_SYSTEMS`; the simulator is assembled by
+    the centralized plane's shared constructor, on one single-slot
+    machine per slot.
     """
     from repro.centralized.config import CentralizedConfig
     from repro.centralized.simulator import CentralizedSimulator
-    from repro.cluster.cluster import Cluster
+    from repro.experiments.harness import (
+        WorkloadSpec,
+        _centralized_family_kwargs,
+    )
     from repro.simulation.rng import RandomSource
     from repro.speculation import make_speculation_policy
     from repro.stragglers.model import ParetoRedrawStragglerModel
@@ -1026,29 +1033,27 @@ def _run_single_job_spec(spec):
     rng = source.child("fig3").rng
     duration_dist = ParetoDistribution(shape=beta, scale=1.0)
     sizes = [duration_dist.sample(rng) for _ in range(num_tasks)]
-    job = make_single_phase_job(0, 0.0, sizes)
-    trace = Trace(jobs=[job])
+    trace = Trace(jobs=[make_single_phase_job(0, 0.0, sizes)])
 
-    policy = SINGLE_JOB_SYSTEMS.get(spec.system).factory(epsilon=1.0)
-    if spec.speculation == "late":
+    speculation = spec.speculation
+    if speculation == "late":
         # Uncapped LATE so the job can exploit slots beyond one-per-task.
-        speculation = lambda: make_speculation_policy(  # noqa: E731
+        speculation = functools.partial(
+            make_speculation_policy,
             "late",
             detect_after=0.25,
             speculative_cap_fraction=1.0,
             slow_task_pct=1.0,
             max_copies=6,
         )
-    else:
-        speculation = lambda: make_speculation_policy(  # noqa: E731
-            spec.speculation
-        )
-    simulator = CentralizedSimulator(
-        cluster=Cluster(num_machines=slots, slots_per_machine=1),
-        policy=policy,
-        speculation=speculation,
-        trace=trace.fresh_copy(),
-        straggler_model=ParetoRedrawStragglerModel(beta=beta),
+
+    kwargs = _centralized_family_kwargs(
+        trace,
+        spec.system,
+        WorkloadSpec(total_slots=slots),
+        SINGLE_JOB_SYSTEMS,
+        epsilon=1.0,
+        slots_per_machine=1,
         config=CentralizedConfig(
             learn_beta=False,
             default_beta=beta,
@@ -1057,9 +1062,11 @@ def _run_single_job_spec(spec):
             preempt_speculative=False,
             max_copies_cap=6,
         ),
-        random_source=RandomSource(seed=base_seed + repetition),
+        straggler_model=ParetoRedrawStragglerModel(beta=beta),
+        run_seed=base_seed + repetition,
+        speculation=speculation,
     )
-    return simulator.run()
+    return CentralizedSimulator(**kwargs).run()
 
 
 def _run_serving_spec(spec):

@@ -11,10 +11,12 @@ that logic lived twice — once in ``centralized/simulator.py`` (the old
 :mod:`repro.runtime` is the single home for that core:
 
 * :class:`JobRuntime` — per-job execution state (pending queue, phase
-  activation, throttled speculation-candidate cache). The centralized
-  simulator and the decentralized ``SchedulerJob`` both subclass it;
-  :class:`LocalityJobRuntime` layers per-machine locality buckets on
-  top for the (centralized) dispatch paths that ask locality questions.
+  activation, the job's progress in its ``JobExecutionView``, throttled
+  speculation-candidate cache). The centralized simulator and the
+  decentralized ``SchedulerJob`` both subclass it;
+  :class:`LocalityJobRuntime` layers the bounded locality scan and
+  per-machine locality buckets on top for the (centralized) dispatch
+  paths that ask locality questions.
 * :class:`CopyLedger` — task-copy identity and lifecycle (launch,
   finish, kill, task completion, job completion) with the shared
   view/metrics/estimator bookkeeping.

@@ -2,27 +2,31 @@
 
 A :class:`JobRuntime` owns what a scheduler must track per job while it
 replays: the pending-task queue fed by DAG phase activation, the
-:class:`~repro.speculation.base.JobExecutionView` the speculation policy
-inspects, and the throttled speculation-candidate cache.
+:class:`~repro.speculation.base.JobExecutionView` that holds the job's
+progress in this run and that the speculation policy inspects, and the
+throttled speculation-candidate cache. The job itself is immutable; a
+runtime is created per job per run.
 
-:class:`LocalityJobRuntime` adds per-machine buckets counting how many
-queued tasks prefer each machine — a *fast-reject* index for
-locality-aware dispatch, used by the centralized plane only (the
-decentralized protocol never asks locality questions, so its
-``SchedulerJob`` stays on the bucket-free base and pays nothing on the
-enqueue/dequeue hot path). The buckets do not replace the bounded
-locality scan: the scan window (first 64 queue entries) is observable
-behavior that the golden digests pin, so the exact scan still runs
-whenever a bucket says a match might exist. The buckets only prove the
-frequent negative ("no queued task prefers machine m at all") in O(1)
-instead of O(64).
+:class:`LocalityJobRuntime` adds locality-aware dispatch for the
+centralized plane: a bounded scan of the queue for a task local to a
+machine, and per-machine buckets counting how many queued tasks prefer
+each machine — a *fast-reject* index for that scan. The decentralized
+protocol never asks locality questions, so its ``SchedulerJob`` stays on
+the bucket-free base and pays nothing on the enqueue/dequeue hot path.
+The buckets do not replace the bounded scan: the scan window (first 64
+queue entries) is observable behavior that the golden digests pin, so
+the exact scan still runs whenever a bucket says a match might exist.
+The buckets only prove the frequent negative ("no queued task prefers
+machine m at all") in O(1) instead of O(64).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from operator import attrgetter
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
 
+from repro.cluster.datastore import DataStore
 from repro.speculation.base import JobExecutionView, SpeculationPolicy
 from repro.workload.job import Job
 from repro.workload.task import Task
@@ -84,13 +88,15 @@ class JobRuntime:
     def activate_runnable_phases(self) -> List[Task]:
         """Queue tasks of newly runnable phases; returns the new tasks."""
         fresh: List[Task] = []
+        view = self.view
+        finished = view.finished
         for phase in self.job.phases:
             if phase.index in self.activated_phases:
                 continue
-            if self.job.phase_is_runnable(phase):
+            if view.phase_is_runnable(phase):
                 self.activated_phases.add(phase.index)
                 for task in phase.tasks:
-                    if not task.is_finished:
+                    if task.task_id not in finished:
                         self.pending.append(task)
                         self.pending_ids.add(task.task_id)
                         self._note_queued(task)
@@ -103,32 +109,21 @@ class JobRuntime:
     def _note_dequeued(self, task: Task) -> None:
         """Index hook: a task left the pending queue (no-op here)."""
 
-    def may_have_local_pending(self, machine_id: int) -> bool:
-        """Whether a queued task *might* prefer ``machine_id``. The
-        index-free base is conservative (always scan)."""
-        return True
-
-    def pop_pending(self, prefer_machine: Optional[int] = None) -> Optional[Task]:
-        """Take the next pending task, preferring one local to
-        ``prefer_machine`` (bounded scan)."""
+    def _prune_finished(self) -> Deque[Task]:
+        """Drop finished tasks from the queue front; returns the queue."""
         pending = self.pending
-        while pending and pending[0].is_finished:
+        finished = self.view.finished
+        while pending and pending[0].task_id in finished:
             dropped = pending.popleft()
             self.pending_ids.discard(dropped.task_id)
             self._note_dequeued(dropped)
+        return pending
+
+    def pop_pending(self) -> Optional[Task]:
+        """Take the next unfinished pending task."""
+        pending = self._prune_finished()
         if not pending:
             return None
-        if prefer_machine is not None and self.may_have_local_pending(
-            prefer_machine
-        ):
-            scan_limit = min(len(pending), 64)
-            for i in range(scan_limit):
-                task = pending[i]
-                if not task.is_finished and task.prefers(prefer_machine):
-                    del pending[i]
-                    self.pending_ids.discard(task.task_id)
-                    self._note_dequeued(task)
-                    return task
         task = pending.popleft()
         self.pending_ids.discard(task.task_id)
         self._note_dequeued(task)
@@ -137,23 +132,7 @@ class JobRuntime:
     def has_pending(self) -> bool:
         """True when an unfinished task is queued (prunes finished ones
         from the queue front as a side effect)."""
-        pending = self.pending
-        while pending and pending[0].is_finished:
-            dropped = pending.popleft()
-            self.pending_ids.discard(dropped.task_id)
-            self._note_dequeued(dropped)
-        return bool(pending)
-
-    def has_pending_local_to(self, machine_id: int) -> bool:
-        if not self.may_have_local_pending(machine_id):
-            return False
-        pending = self.pending
-        scan_limit = min(len(pending), 64)
-        for i in range(scan_limit):
-            task = pending[i]
-            if not task.is_finished and task.prefers(machine_id):
-                return True
-        return False
+        return bool(self._prune_finished())
 
     def discard_pending_id(self, task_id: int) -> None:
         """Forget a task id that finished without being dequeued (the
@@ -168,7 +147,8 @@ class JobRuntime:
         Idempotent — a task that is already queued (or finished) is not
         queued twice. Returns True when the task was actually queued.
         """
-        if task.is_finished or task.task_id in self.pending_ids:
+        task_id = task.task_id
+        if task_id in self.view.finished or task_id in self.pending_ids:
             return False
         self.pending.append(task)
         self.pending_ids.add(task.task_id)
@@ -194,27 +174,44 @@ class JobRuntime:
 
 
 class LocalityJobRuntime(JobRuntime):
-    """JobRuntime with per-machine locality buckets over the queue.
+    """JobRuntime with locality-aware dispatch over the queue.
 
-    ``may_have_local_pending`` becomes an O(1) exact negative: it is
-    False only when *no* queued task prefers the machine, so guarding
-    the bounded scan with it never changes which task is picked.
+    A task's preferred machines are read through one lookup for the
+    whole run: the :class:`~repro.cluster.datastore.DataStore`'s
+    placements when the run has one, else the trace's own preferences.
+    A task with no preference runs local anywhere.
+
+    ``may_have_local_pending`` is an O(1) exact negative: it is False
+    only when *no* queued task prefers the machine, so guarding the
+    bounded scan with it never changes which task is picked.
     """
 
-    __slots__ = ("_local_counts", "_wildcard_pending")
+    __slots__ = ("local_machines", "_local_counts", "_wildcard_pending")
 
     def __init__(
-        self, job: Job, spec_policy: Optional[SpeculationPolicy] = None
+        self,
+        job: Job,
+        spec_policy: Optional[SpeculationPolicy] = None,
+        datastore: Optional[DataStore] = None,
     ) -> None:
         super().__init__(job, spec_policy)
+        self.local_machines: Callable[[Task], Sequence[int]] = (
+            attrgetter("preferred_machines")
+            if datastore is None
+            else datastore.local_machines
+        )
         # machine -> queued tasks preferring it, plus a count of queued
-        # tasks with no preference (they "prefer" everything — see
-        # Task.prefers).
+        # tasks with no preference (they prefer every machine).
         self._local_counts: Dict[int, int] = {}
         self._wildcard_pending = 0
 
+    def prefers(self, task: Task, machine_id: int) -> bool:
+        """True if ``machine_id`` holds a replica of ``task``'s input."""
+        preferred = self.local_machines(task)
+        return not preferred or machine_id in preferred
+
     def _note_queued(self, task: Task) -> None:
-        preferred = task.preferred_machines
+        preferred = self.local_machines(task)
         if preferred:
             counts = self._local_counts
             for machine_id in preferred:
@@ -223,7 +220,7 @@ class LocalityJobRuntime(JobRuntime):
             self._wildcard_pending += 1
 
     def _note_dequeued(self, task: Task) -> None:
-        preferred = task.preferred_machines
+        preferred = self.local_machines(task)
         if preferred:
             counts = self._local_counts
             for machine_id in preferred:
@@ -238,3 +235,34 @@ class LocalityJobRuntime(JobRuntime):
     def may_have_local_pending(self, machine_id: int) -> bool:
         """False only when *no* queued task prefers ``machine_id``."""
         return self._wildcard_pending > 0 or machine_id in self._local_counts
+
+    def _scan_local(self, machine_id: int) -> int:
+        """Queue position of the first unfinished task among the first 64
+        that prefers ``machine_id``, or -1."""
+        if not self.may_have_local_pending(machine_id):
+            return -1
+        pending = self.pending
+        finished = self.view.finished
+        for i in range(min(len(pending), 64)):
+            task = pending[i]
+            if task.task_id not in finished and self.prefers(task, machine_id):
+                return i
+        return -1
+
+    def pop_pending(self, prefer_machine: Optional[int] = None) -> Optional[Task]:
+        """Take the next pending task, preferring one local to
+        ``prefer_machine`` (bounded scan)."""
+        pending = self._prune_finished()
+        if not pending:
+            return None
+        i = 0
+        if prefer_machine is not None:
+            i = max(self._scan_local(prefer_machine), 0)
+        task = pending[i]
+        del pending[i]
+        self.pending_ids.discard(task.task_id)
+        self._note_dequeued(task)
+        return task
+
+    def has_pending_local_to(self, machine_id: int) -> bool:
+        return self._scan_local(machine_id) >= 0

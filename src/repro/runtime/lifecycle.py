@@ -22,8 +22,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.simulation.engine import EventHandle, Simulator
 from repro.speculation.base import JobExecutionView
 from repro.stragglers.progress import TaskCopy
-from repro.workload.job import Job
-from repro.workload.task import Task, TaskState
+from repro.workload.task import Task
 
 
 class CopyLedger:
@@ -120,10 +119,11 @@ class CopyLedger:
         copy.finished = True
         copy.end_time = self.engine.now
 
-    def record_finish(self, copy: TaskCopy) -> bool:
+    def record_finish(self, copy: TaskCopy, view: Optional[JobExecutionView]) -> bool:
         """Record the finish; returns True when this copy won the race
-        (its task was still unfinished)."""
-        won = not copy.task.is_finished
+        (its task was still unfinished in ``view``; a copy whose job has
+        already completed and dropped its view never wins)."""
+        won = view is not None and copy.task.task_id not in view.finished
         self.metrics.record_copy_finished(
             copy.duration, speculative_win=copy.speculative and won
         )
@@ -149,7 +149,7 @@ class CopyLedger:
         """
         self.settle_finished(copy)
         view.remove_copy(copy)
-        return self.record_finish(copy)
+        return self.record_finish(copy, view)
 
     # -- kill ---------------------------------------------------------------
 
@@ -172,10 +172,7 @@ class CopyLedger:
         """Mark the winner's task finished and feed the estimators;
         returns the still-running sibling copies (the race losers)."""
         task = copy.task
-        task.state = TaskState.FINISHED
-        task.finish_time = self.engine.now
-        task.completed_by_speculative = copy.speculative
-        view.job.phase(task.phase_index).mark_task_finished(task.size)
+        view.mark_finished(task)
         view.completed_durations.append(copy.duration)
         self.beta_estimator.observe(copy.duration)
         return [
@@ -183,11 +180,13 @@ class CopyLedger:
         ]
 
     def record_job_completion(
-        self, job: Job, alpha_estimator: Optional[AlphaEstimator] = None
+        self,
+        view: JobExecutionView,
+        alpha_estimator: Optional[AlphaEstimator] = None,
     ) -> None:
-        """Stamp and record a completed job (and teach the alpha model)."""
+        """Record a completed job (and teach the alpha model)."""
         now = self.engine.now
-        job.finish_time = now
+        job = view.job
         self.metrics.record_job_completion(
             job_id=job.job_id,
             name=job.name,

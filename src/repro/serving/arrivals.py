@@ -21,6 +21,7 @@ draws; its mean multiplier feeds back into the calibration so the
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from random import Random
 
 from repro.registry import Registry
@@ -197,12 +198,10 @@ class HeavyTailSizeModifier:
     def mean_multiplier(self) -> float:
         return self.shape / (self.shape - 1.0)
 
-    def scale_job(self, job: Job) -> float:
-        """Apply one multiplier to a freshly generated (unstarted) job."""
+    def scale_job(self, job: Job) -> Job:
+        """``job`` with one drawn multiplier applied to every phase."""
         multiplier = self._rng.paretovariate(self.shape)
-        for phase in job.phases:
-            phase.scale_work(multiplier)
-        return multiplier
+        return replace(job, phases=[p.scaled(multiplier) for p in job.phases])
 
 
 def estimate_mean_job_work(

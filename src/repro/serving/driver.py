@@ -85,7 +85,7 @@ class JobStream:
                 return
             job = self._generator.next_job(now)
             if self._size_modifier is not None:
-                self._size_modifier.scale_job(job)
+                job = self._size_modifier.scale_job(job)
             yield job
 
 

@@ -1,10 +1,14 @@
-"""Common interface for speculation policies.
+"""Common interface for speculation policies, and the per-run job view.
 
 A speculation policy inspects one job's running copies (progress, elapsed
 time) and proposes *speculation candidates*: tasks for which launching an
 extra copy is expected to help, ordered by expected benefit. The scheduler
 — not the policy — decides whether slots are actually granted; that
 separation is exactly the coordination gap the paper closes.
+
+:class:`JobExecutionView` is also where one run keeps the job's progress
+(finished tasks, per-phase counts and remaining work): the
+workload objects themselves are immutable and shared by every replay.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ import statistics
 from abc import ABC, abstractmethod
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from repro.stragglers.progress import TaskCopy
 from repro.workload.job import Job
+from repro.workload.phase import Phase
 from repro.workload.task import Task
 
 
@@ -35,7 +40,8 @@ class SpeculationRequest:
 
 @dataclass
 class JobExecutionView:
-    """What a speculation policy may observe about one job.
+    """One run's view of one job: what a speculation policy may observe,
+    plus the job's progress in this run.
 
     Mirrors what real frameworks expose: per-copy progress, completed task
     durations (for estimating the duration of a fresh copy) — nothing
@@ -44,6 +50,11 @@ class JobExecutionView:
     ``copies_by_task`` holds only *live* copies; finished and killed
     copies are pruned via :meth:`remove_copy` so that scans stay
     proportional to the number of currently running copies.
+
+    ``finished`` (ids of this job's finished tasks) and the per-phase
+    counters are written only by :meth:`mark_finished`; every
+    progress-dependent query (completion, remaining tasks, the runnable
+    front, downstream communication) reads them here.
     """
 
     job: Job
@@ -84,6 +95,89 @@ class JobExecutionView:
         default_factory=dict, repr=False, compare=False
     )
     _next_task_seq: int = field(default=0, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Progress. Membership in ``finished`` is the O(1) "is this task
+        # done?" check every hot path uses.
+        phases = self.job.phases
+        self.finished: Set[int] = set()
+        self._phase_finished = {p.index: 0 for p in phases}
+        self._phase_work = {p.index: p.total_work for p in phases}
+        self._num_tasks = sum(len(p.tasks) for p in phases)
+
+    # -- progress -------------------------------------------------------------
+
+    def mark_finished(self, task: Task) -> None:
+        """Record that ``task`` finished in this run."""
+        task_id = task.task_id
+        if task_id in self.finished:
+            raise RuntimeError(f"task {task_id} already finished")
+        self.finished.add(task_id)
+        index = task.phase_index
+        self._phase_finished[index] += 1
+        self._phase_work[index] = max(0.0, self._phase_work[index] - task.size)
+
+    @property
+    def is_complete(self) -> bool:
+        return len(self.finished) == self._num_tasks
+
+    def remaining_tasks(self) -> int:
+        """T_i(t): unfinished tasks across all phases."""
+        return self._num_tasks - len(self.finished)
+
+    def phase_is_complete(self, phase: Phase) -> bool:
+        return self._phase_finished[phase.index] >= len(phase.tasks)
+
+    def phase_remaining_work(self, phase: Phase) -> float:
+        """Sum of sizes of the phase's unfinished tasks; O(1)."""
+        return self._phase_work[phase.index]
+
+    def phase_remaining_fraction(self, phase: Phase) -> float:
+        """Fraction of the phase's tasks not yet finished."""
+        num_tasks = len(phase.tasks)
+        return (num_tasks - self._phase_finished[phase.index]) / num_tasks
+
+    def remaining_output_data(self, phase: Phase) -> float:
+        """Intermediate data not yet produced, pro-rated by task completion."""
+        return phase.output_data * self.phase_remaining_fraction(phase)
+
+    def phase_is_runnable(self, phase: Phase) -> bool:
+        """A phase may launch tasks once every parent has completed at
+        least its slow-start fraction of tasks (pipelining)."""
+        finished = self._phase_finished
+        job = self.job
+        for parent_index in phase.parents:
+            parent_tasks = len(job.phase(parent_index).tasks)
+            if finished[parent_index] / parent_tasks < phase.slowstart:
+                return False
+        return True
+
+    def runnable_phases(self) -> List[Phase]:
+        """The running front: runnable phases with unfinished tasks."""
+        return [
+            p
+            for p in self.job.phases
+            if not self.phase_is_complete(p) and self.phase_is_runnable(p)
+        ]
+
+    def downstream_virtual_tasks(self, network_rate: float = 1.0) -> float:
+        """V'_i(t) proxy: remaining downstream communication expressed in
+        task-equivalents of the running front's mean task size."""
+        front = self.runnable_phases()
+        if not front:
+            return 0.0
+        total_tasks = sum(p.num_tasks for p in front)
+        mean_size = (
+            sum(p.mean_task_size * p.num_tasks for p in front) / total_tasks
+            if total_tasks
+            else 1.0
+        )
+        comm = sum(self.remaining_output_data(p) / network_rate for p in front)
+        if mean_size <= 0:
+            return 0.0
+        return comm / mean_size
+
+    # -- copies ---------------------------------------------------------------
 
     def register_copy(self, copy: TaskCopy) -> None:
         """Track a newly launched copy."""
@@ -206,10 +300,11 @@ class JobExecutionView:
         """Tasks that are unfinished but have at least one running copy."""
         tasks = []
         append = tasks.append
+        finished = self.finished
         for copies in self.copies_by_task.values():
             if copies:
                 task = copies[0].task
-                if not task.is_finished:
+                if task.task_id not in finished:
                     append(task)
         return tasks
 

@@ -47,7 +47,7 @@ class GRASS(SpeculationPolicy):
 
     def _in_greedy_phase(self, view: JobExecutionView) -> bool:
         total = view.job.num_tasks
-        remaining = view.job.remaining_tasks()
+        remaining = view.remaining_tasks()
         return total > 0 and (remaining / total) <= self.switch_fraction
 
     def speculation_candidates(

@@ -24,9 +24,6 @@ from repro.speculation.base import (
     SpeculationPolicy,
     SpeculationRequest,
 )
-from repro.workload.task import TaskState
-
-_FINISHED = TaskState.FINISHED
 
 
 class LATE(SpeculationPolicy):
@@ -83,13 +80,14 @@ class LATE(SpeculationPolicy):
 
         max_copies = self.max_copies_per_task()
         detect_after = self.detect_after
+        finished = view.finished
         requests: List[SpeculationRequest] = []
         for copies in copies_by_task.values():
             if not copies:
                 continue
             first = copies[0]
             task = first.task
-            if task.state is _FINISHED or len(copies) >= max_copies:
+            if task.task_id in finished or len(copies) >= max_copies:
                 continue
             if len(copies) == 1:
                 slowest = first

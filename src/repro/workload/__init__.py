@@ -11,7 +11,7 @@ from repro.workload.distributions import (
     ParetoDistribution,
     UniformDistribution,
 )
-from repro.workload.task import Task, TaskState
+from repro.workload.task import Task
 from repro.workload.phase import Phase
 from repro.workload.job import Job
 from repro.workload.generator import (
@@ -36,7 +36,6 @@ __all__ = [
     "ParetoDistribution",
     "UniformDistribution",
     "Task",
-    "TaskState",
     "Phase",
     "Job",
     "TraceGenerator",

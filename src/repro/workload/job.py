@@ -1,25 +1,22 @@
-"""Jobs: DAGs of phases with pipelining and the alpha weighting (§4.2).
+"""Jobs: DAGs of phases with pipelining (§4.2).
 
-The job object is shared by both the centralized and decentralized
-simulators. It exposes:
-
-* ``runnable_tasks()`` — tasks whose phase is past the pipelining
-  slow-start threshold and which have not finished;
-* ``remaining_tasks()`` — the paper's ``T_i(t)``;
-* ``alpha()`` — ratio of remaining downstream communication to remaining
-  upstream work, summed over running phases for bushy DAGs.
+A :class:`Job` is immutable workload data shared by every simulator
+plane and every replay of a trace. It exposes only structure (phases,
+DAG shape, task counts). Per-run progress — which tasks finished, each
+phase's remaining work, the runnable front, alpha's inputs — lives in
+that run's :class:`~repro.speculation.base.JobExecutionView`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.workload.phase import Phase
 from repro.workload.task import Task
 
 
-@dataclass
+@dataclass(frozen=True)
 class Job:
     """A job: a DAG of phases, each a set of parallel tasks.
 
@@ -40,13 +37,12 @@ class Job:
 
     job_id: int
     arrival_time: float
-    phases: List[Phase]
+    phases: Tuple[Phase, ...]
     name: str = ""
     weight: float = 1.0
 
-    finish_time: Optional[float] = field(default=None, compare=False)
-
     def __post_init__(self) -> None:
+        object.__setattr__(self, "phases", tuple(self.phases))
         if not self.phases:
             raise ValueError("job must contain at least one phase")
         seen = set()
@@ -59,11 +55,10 @@ class Job:
                         "ordered)"
                     )
             seen.add(phase.index)
-        self._phase_by_index: Dict[int, Phase] = {p.index: p for p in self.phases}
-        if len(self._phase_by_index) != len(self.phases):
+        phase_by_index = {p.index: p for p in self.phases}
+        if len(phase_by_index) != len(self.phases):
             raise ValueError("duplicate phase indices")
-
-    # -- basic structure -------------------------------------------------------
+        object.__setattr__(self, "_phase_by_index", phase_by_index)
 
     @property
     def num_phases(self) -> int:
@@ -90,103 +85,9 @@ class Job:
     def all_tasks(self) -> List[Task]:
         return [t for p in self.phases for t in p.tasks]
 
-    # -- runtime queries -------------------------------------------------------
-
-    @property
-    def is_complete(self) -> bool:
-        # Hot path (checked on every slot offer); plain loop instead of
-        # all() + per-phase property dispatch.
-        for p in self.phases:
-            if p._finished_count < len(p.tasks):
-                return False
-        return True
-
-    def remaining_tasks(self) -> int:
-        """T_i(t): unfinished tasks across all phases."""
-        # Hot path (every gossip refresh); avoid the per-phase property
-        # dispatch of sum(p.remaining_tasks for p in self.phases).
-        total = 0
-        for p in self.phases:
-            total += len(p.tasks) - p._finished_count
-        return total
-
-    def phase_is_runnable(self, phase: Phase) -> bool:
-        """A phase may launch tasks once every parent has completed at
-        least its slow-start fraction of tasks (pipelining)."""
-        for parent_index in phase.parents:
-            parent = self._phase_by_index[parent_index]
-            if parent.completed_fraction < phase.slowstart:
-                return False
-        return True
-
-    def runnable_phases(self) -> List[Phase]:
-        return [
-            p
-            for p in self.phases
-            if not p.is_complete and self.phase_is_runnable(p)
-        ]
-
-    def runnable_tasks(self) -> List[Task]:
-        """Unfinished tasks belonging to runnable phases."""
-        return [
-            t
-            for p in self.runnable_phases()
-            for t in p.tasks
-            if not t.is_finished
-        ]
-
-    def current_phases(self) -> List[Phase]:
-        """Runnable-but-incomplete phases ("running front" of the DAG)."""
-        return self.runnable_phases()
-
     def downstream_of(self, phase: Phase) -> List[Phase]:
         """Phases that directly read this phase's output."""
         return [p for p in self.phases if phase.index in p.parents]
-
-    # -- alpha (§4.2, §6.3) ----------------------------------------------------
-
-    def alpha(self, network_rate: float = 1.0) -> float:
-        """DAG weighting factor.
-
-        alpha = (remaining network transfer work of downstream phases) /
-        (remaining compute work of the currently running phases), summed
-        over the running front for bushy DAGs. ``network_rate`` converts
-        data units into time units. Returns 1.0 for single-phase jobs or
-        when the upstream front has no remaining work.
-        """
-        upstream_work = 0.0
-        downstream_comm = 0.0
-        for phase in self.current_phases():
-            upstream_work += phase.remaining_work()
-            for child in self.downstream_of(phase):
-                if not child.is_complete:
-                    downstream_comm += phase.remaining_output_data() / network_rate
-        if upstream_work <= 0.0 or downstream_comm <= 0.0:
-            return 1.0
-        return downstream_comm / upstream_work
-
-    def downstream_virtual_tasks(self, network_rate: float = 1.0) -> float:
-        """V'_i(t) proxy: remaining downstream communication expressed in
-        task-equivalents of the current front's mean task size."""
-        front = self.current_phases()
-        if not front:
-            return 0.0
-        total_tasks = sum(p.num_tasks for p in front)
-        mean_size = (
-            sum(p.mean_task_size * p.num_tasks for p in front) / total_tasks
-            if total_tasks
-            else 1.0
-        )
-        comm = sum(p.remaining_output_data() / network_rate for p in front)
-        if mean_size <= 0:
-            return 0.0
-        return comm / mean_size
-
-    def reset_runtime_state(self) -> None:
-        """Clear all runtime state so a trace can be replayed."""
-        self.finish_time = None
-        for phase in self.phases:
-            phase.reset_runtime_state()
 
 
 def make_single_phase_job(

@@ -9,13 +9,13 @@ volume feeds the DAG weighting factor alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Tuple
 
 from repro.workload.task import Task
 
 
-@dataclass
+@dataclass(frozen=True)
 class Phase:
     """One phase (stage) of a job.
 
@@ -34,100 +34,52 @@ class Phase:
     slowstart:
         Fraction of each parent's tasks that must be finished before this
         phase's tasks may begin (pipelining threshold).
+    total_work:
+        Sum of the task sizes, derived from ``tasks`` at construction
+        (not a constructor argument, so every ``replace`` recomputes it).
     """
 
     index: int
-    tasks: List[Task]
+    tasks: Tuple[Task, ...]
     parents: Tuple[int, ...] = ()
     output_data: float = 0.0
     slowstart: float = 0.05
-
-    _finished_count: int = field(default=0, compare=False)
-    _remaining_work: float = field(default=0.0, compare=False)
+    total_work: float = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tasks", tuple(self.tasks))
+        object.__setattr__(self, "parents", tuple(self.parents))
         if not self.tasks:
             raise ValueError("phase must contain at least one task")
         if not 0.0 <= self.slowstart <= 1.0:
             raise ValueError("slowstart must be in [0, 1]")
         if self.output_data < 0:
             raise ValueError("output_data must be non-negative")
-        self._total_work = sum(t.size for t in self.tasks)
-        self._remaining_work = self._total_work
+        object.__setattr__(self, "total_work", sum(t.size for t in self.tasks))
 
     @property
     def num_tasks(self) -> int:
         return len(self.tasks)
 
     @property
-    def finished_tasks(self) -> int:
-        return self._finished_count
-
-    @property
-    def remaining_tasks(self) -> int:
-        return self.num_tasks - self._finished_count
-
-    @property
-    def is_complete(self) -> bool:
-        return self._finished_count >= self.num_tasks
-
-    @property
-    def completed_fraction(self) -> float:
-        return self._finished_count / self.num_tasks
-
-    def mark_task_finished(self, task_size: float = 0.0) -> None:
-        """Record completion of one of this phase's tasks.
-
-        ``task_size`` keeps the incremental remaining-work tally exact;
-        callers that do not track sizes may omit it (remaining work then
-        degrades pro-rata)."""
-        if self._finished_count >= self.num_tasks:
-            raise RuntimeError(f"phase {self.index}: all tasks already finished")
-        self._finished_count += 1
-        if task_size > 0:
-            self._remaining_work = max(0.0, self._remaining_work - task_size)
-        else:
-            self._remaining_work = self._total_work * (
-                self.remaining_tasks / self.num_tasks
-            )
-
-    @property
     def mean_task_size(self) -> float:
-        """Average intrinsic task size (static)."""
-        return self._total_work / self.num_tasks
+        """Average intrinsic task size."""
+        return self.total_work / self.num_tasks
 
-    def remaining_work(self) -> float:
-        """Sum of sizes of unfinished tasks (used for alpha); O(1)."""
-        return self._remaining_work
+    def scaled(self, factor: float) -> "Phase":
+        """This phase with every task size and the output stretched by
+        ``factor`` (the serving regime's heavy-tailed job-size modifier).
 
-    def remaining_output_data(self) -> float:
-        """Intermediate data not yet produced, pro-rated by task completion."""
-        if self.num_tasks == 0:
-            return 0.0
-        return self.output_data * (self.remaining_tasks / self.num_tasks)
-
-    def scale_work(self, factor: float) -> None:
-        """Uniformly rescale an unstarted phase's task sizes and output.
-
-        Used by the serving regime's heavy-tailed job-size modifier; the
-        cached work totals scale with the tasks so the incremental
-        remaining-work tally stays exact. Rescaling after tasks have
-        finished would desynchronize that tally, hence the guard.
+        The total is the one product ``total_work * factor``, not a
+        re-summed ``sum(size * factor)``, so it is bit-equal to the
+        total the tasks were generated with, scaled once.
         """
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        if self._finished_count:
-            raise RuntimeError(
-                f"phase {self.index}: cannot rescale after tasks finished"
-            )
-        for task in self.tasks:
-            task.size *= factor
-        self.output_data *= factor
-        self._total_work *= factor
-        self._remaining_work = self._total_work
-
-    def reset_runtime_state(self) -> None:
-        self._finished_count = 0
-        self._remaining_work = self._total_work
-        for task in self.tasks:
-            task.reset_runtime_state()
+        scaled = replace(
+            self,
+            tasks=tuple(replace(t, size=t.size * factor) for t in self.tasks),
+            output_data=self.output_data * factor,
+        )
+        object.__setattr__(scaled, "total_work", self.total_work * factor)
+        return scaled

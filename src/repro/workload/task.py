@@ -1,28 +1,23 @@
-"""Tasks and their runtime state.
+"""Tasks: the unit of scheduling.
 
-A :class:`Task` is the unit of scheduling. Tasks carry an intrinsic *size*
-(work units); the actual wall-clock duration of a given *copy* of a task is
-``size * slowdown`` where the slowdown comes from the straggler model and is
-drawn independently per copy — this is what makes speculative execution a
-race worth running.
+A :class:`Task` carries an intrinsic *size* (work units); the actual
+wall-clock duration of a given *copy* of a task is ``size * slowdown``
+where the slowdown comes from the straggler model and is drawn
+independently per copy — this is what makes speculative execution a race
+worth running.
+
+Tasks are immutable workload data: whether a task has finished in a run
+is per-run progress, kept by that run's
+:class:`~repro.speculation.base.JobExecutionView`.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 
-class TaskState(enum.Enum):
-    """Lifecycle of a task (not of an individual copy)."""
-
-    PENDING = "pending"  # no copy launched yet
-    RUNNING = "running"  # at least one copy is executing
-    FINISHED = "finished"  # some copy completed; others killed
-
-
-@dataclass
+@dataclass(frozen=True, init=False)
 class Task:
     """One task of a job phase.
 
@@ -38,9 +33,11 @@ class Task:
         Intrinsic work in time units (duration on a straggler-free, local
         slot).
     preferred_machines:
-        Machines holding a replica of this task's input block; running on
-        one of them is "data local". Empty for tasks with no input (or
-        intermediate phases reading over the network).
+        Machines holding a replica of this task's input block, as the
+        trace records them. Empty for tasks with no input (or
+        intermediate phases reading over the network). A run with a
+        :class:`~repro.cluster.datastore.DataStore` reads its placements
+        from there instead.
     """
 
     task_id: int
@@ -49,25 +46,15 @@ class Task:
     size: float
     preferred_machines: Tuple[int, ...] = ()
 
-    # Runtime state, owned by the simulator -----------------------------------
-    state: TaskState = field(default=TaskState.PENDING, compare=False)
-    finish_time: Optional[float] = field(default=None, compare=False)
-    completed_by_speculative: bool = field(default=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"task size must be positive, got {self.size}")
-
-    @property
-    def is_finished(self) -> bool:
-        return self.state is TaskState.FINISHED
-
-    def reset_runtime_state(self) -> None:
-        """Clear runtime fields so the same trace can be replayed."""
-        self.state = TaskState.PENDING
-        self.finish_time = None
-        self.completed_by_speculative = False
-
-    def prefers(self, machine_id: int) -> bool:
-        """True if ``machine_id`` holds a replica of this task's input."""
-        return not self.preferred_machines or machine_id in self.preferred_machines
+    def __init__(self, task_id, job_id, phase_index, size, preferred_machines=()):
+        # Written out rather than generated: a trace builds one Task per
+        # task, and the generated frozen __init__ (a closure lookup per
+        # field plus a __post_init__ call) costs ~30% more.
+        if size <= 0:
+            raise ValueError(f"task size must be positive, got {size}")
+        setattr_ = object.__setattr__
+        setattr_(self, "task_id", task_id)
+        setattr_(self, "job_id", job_id)
+        setattr_(self, "phase_index", phase_index)
+        setattr_(self, "size", size)
+        setattr_(self, "preferred_machines", preferred_machines)

@@ -8,9 +8,8 @@ target.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence, Tuple
 
 from repro.workload.job import Job
 
@@ -33,14 +32,20 @@ def arrival_rate_for_utilization(
     return utilization * total_slots / mean_job_work
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trace:
-    """An ordered sequence of jobs to replay."""
+    """An ordered sequence of jobs to replay.
 
-    jobs: List[Job]
+    Immutable, like the jobs it holds: any number of runs, on any plane,
+    can replay the same trace object.
+    """
+
+    jobs: Tuple[Job, ...]
 
     def __post_init__(self) -> None:
-        self.jobs = sorted(self.jobs, key=lambda j: j.arrival_time)
+        object.__setattr__(
+            self, "jobs", tuple(sorted(self.jobs, key=lambda j: j.arrival_time))
+        )
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -56,11 +61,6 @@ class Trace:
     def total_work(self) -> float:
         return sum(t.size for j in self.jobs for t in j.all_tasks())
 
-    @property
-    def makespan_lower_bound(self) -> float:
-        """Total work / infinite parallelism is 0; this is last arrival."""
-        return self.jobs[-1].arrival_time if self.jobs else 0.0
-
     def offered_utilization(self, total_slots: int) -> float:
         """Empirical offered load over the arrival window."""
         if not self.jobs or total_slots <= 0:
@@ -71,49 +71,54 @@ class Trace:
         return self.total_work / (span * total_slots)
 
     def rescaled_to_utilization(self, total_slots: int, utilization: float) -> "Trace":
-        """Return a copy with interarrival gaps scaled to the target load.
+        """Return a trace with interarrival gaps scaled to the target load.
 
         Mirrors the paper's "speed-up the trace appropriately" (§7.1).
+        The rescaled jobs share their (immutable) phases with this trace.
         """
         current = self.offered_utilization(total_slots)
         if current in (0.0, float("inf")):
             raise ValueError("trace has no arrival span to rescale")
         factor = current / utilization
-        jobs = copy.deepcopy(self.jobs)
-        base = jobs[0].arrival_time
-        for job in jobs:
-            job.arrival_time = base + (job.arrival_time - base) * factor
-        return Trace(jobs=jobs)
-
-    def fresh_copy(self) -> "Trace":
-        """Deep copy with runtime state cleared — safe to replay."""
-        jobs = copy.deepcopy(self.jobs)
-        for job in jobs:
-            job.reset_runtime_state()
-        return Trace(jobs=jobs)
+        base = self.jobs[0].arrival_time
+        return Trace(
+            jobs=[
+                replace(job, arrival_time=base + (job.arrival_time - base) * factor)
+                for job in self.jobs
+            ]
+        )
 
 
 def merge_traces(traces: Sequence[Trace]) -> Trace:
     """Interleave several traces by arrival time.
 
-    Jobs are deep-copied (and their runtime state reset) so that replaying
-    the merged trace cannot mutate the source traces' Job objects. Traces
-    produced by independent generators can carry colliding job ids (each
-    generator numbers from 0); since the simulators key jobs by id, the
-    merged copies are renumbered sequentially when a collision exists.
+    Traces produced by independent generators can carry colliding job
+    ids (each generator numbers from 0); since the simulators key jobs by
+    id, the merged jobs are renumbered sequentially when a collision
+    exists. Only jobs whose id changes are rebuilt; the rest are shared
+    with the sources, which is safe because jobs are immutable.
     """
-    # Copy per occurrence (not one deepcopy of the combined list, whose
-    # memoization would alias a job passed in twice, e.g. merge([a, a])).
-    all_jobs: List[Job] = []
-    for trace in traces:
-        for job in trace.jobs:
-            clone = copy.deepcopy(job)
-            clone.reset_runtime_state()
-            all_jobs.append(clone)
-    merged = Trace(jobs=all_jobs)
-    if len({job.job_id for job in merged.jobs}) != len(merged.jobs):
-        for new_id, job in enumerate(merged.jobs):
-            job.job_id = new_id
-            for task in job.all_tasks():
-                task.job_id = new_id
-    return merged
+    merged = Trace(jobs=[job for trace in traces for job in trace.jobs])
+    if len({job.job_id for job in merged.jobs}) == len(merged.jobs):
+        return merged
+    return Trace(
+        jobs=[
+            job if job.job_id == new_id else _renumbered(job, new_id)
+            for new_id, job in enumerate(merged.jobs)
+        ]
+    )
+
+
+def _renumbered(job: Job, job_id: int) -> Job:
+    """``job`` under a new id, its tasks' ``job_id`` included."""
+    return replace(
+        job,
+        job_id=job_id,
+        phases=[
+            replace(
+                phase,
+                tasks=[replace(task, job_id=job_id) for task in phase.tasks],
+            )
+            for phase in job.phases
+        ],
+    )

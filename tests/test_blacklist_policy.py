@@ -163,7 +163,7 @@ def _centralized_run(blacklist_policy):
         cluster=Cluster(num_machines=num_machines, slots_per_machine=4),
         policy=CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1),
         speculation=lambda: LATE(),
-        trace=trace.fresh_copy(),
+        trace=trace,
         straggler_model=model,
         config=CentralizedConfig(
             epsilon=0.1,
@@ -187,7 +187,7 @@ def _decentralized_run(blacklist_policy):
     simulator = DecentralizedSimulator(
         num_workers=QUICK.total_slots,
         speculation=lambda: LATE(),
-        trace=trace.fresh_copy(),
+        trace=trace,
         straggler_model=model,
         config=DecentralizedConfig(
             worker_policy=WorkerPolicy.HOPPER,
@@ -394,6 +394,6 @@ def test_probation_reinstates_machines_end_to_end():
     }
     # Reinstated workers finished the run doing work again or at least
     # rejoined the pool; every job still completed.
-    for job in simulator.trace:
-        assert job.is_complete
+    completed = {record.job_id for record in simulator.metrics.result.jobs}
+    assert completed == {job.job_id for job in simulator.trace}
     assert simulator.ledger.events == {}

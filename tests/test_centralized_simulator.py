@@ -71,7 +71,7 @@ def test_all_jobs_complete():
     )
     trace = Trace(jobs=gen.generate(20, interarrival_mean=1.0))
     sim, result = _simulate(
-        trace.fresh_copy(),
+        trace,
         straggler=ParetoRedrawStragglerModel(beta=1.4),
         slots=20,
     )
@@ -86,12 +86,12 @@ def test_speculation_beats_no_speculation_with_stragglers():
     )
     base_trace = Trace(jobs=gen.generate(25, interarrival_mean=2.0))
     _, with_spec = _simulate(
-        base_trace.fresh_copy(),
+        base_trace,
         straggler=ParetoRedrawStragglerModel(beta=1.2),
         slots=60,
     )
     _, without = _simulate(
-        base_trace.fresh_copy(),
+        base_trace,
         speculation=lambda: NoSpeculation(),
         straggler=ParetoRedrawStragglerModel(beta=1.2),
         slots=60,
@@ -107,7 +107,7 @@ def test_kill_on_first_finish_accounts_waste():
     )
     trace = Trace(jobs=gen.generate(15, interarrival_mean=1.0))
     sim, result = _simulate(
-        trace.fresh_copy(),
+        trace,
         straggler=ParetoRedrawStragglerModel(beta=1.3),
         slots=40,
     )
@@ -129,7 +129,7 @@ def test_no_slot_is_double_booked():
         cluster=cluster,
         policy=HopperPolicy(epsilon=0.1),
         speculation=lambda: LATE(),
-        trace=trace.fresh_copy(),
+        trace=trace,
         straggler_model=ParetoRedrawStragglerModel(beta=1.4),
         config=CentralizedConfig(),
         random_source=RandomSource(seed=4),
@@ -146,14 +146,10 @@ def test_dag_phases_respect_pipelining():
         0, 0.0, [[1.0] * 4, [1.0] * 2], [4.0, 0.0], slowstart=0.5
     )
     sim, result = _simulate(Trace(jobs=[job]), slots=10)
-    phase0 = job.phases[0]
-    phase1 = job.phases[1]
-    starts = [
-        t.finish_time for t in phase1.tasks if t.finish_time is not None
-    ]
     assert result.num_jobs == 1
-    # downstream tasks exist and finished after upstream started producing
-    assert all(s >= 1.0 for s in starts)
+    # The unit downstream tasks wait for half the unit upstream tasks
+    # (all of which finish at t=1), so the job cannot end before t=2.
+    assert result.jobs[0].duration >= 2.0
 
 
 def test_budgeted_mode_reserves_slots():
@@ -214,7 +210,7 @@ def test_beta_is_learned_online():
     )
     trace = Trace(jobs=gen.generate(30, interarrival_mean=0.5))
     sim, _ = _simulate(
-        trace.fresh_copy(),
+        trace,
         straggler=ParetoRedrawStragglerModel(beta=1.4),
         slots=60,
         config=CentralizedConfig(epsilon=1.0, learn_beta=True),
@@ -233,7 +229,7 @@ def test_results_are_reproducible():
 
     def run_once():
         _, result = _simulate(
-            trace.fresh_copy(),
+            trace,
             straggler=ParetoRedrawStragglerModel(beta=1.4),
             slots=30,
             seed=11,
@@ -283,7 +279,7 @@ def test_speculation_fraction_in_plausible_range():
     )
     trace = Trace(jobs=gen.generate(40, interarrival_mean=0.5))
     _, result = _simulate(
-        trace.fresh_copy(),
+        trace,
         straggler=ParetoRedrawStragglerModel(beta=1.4),
         slots=80,
         config=CentralizedConfig(epsilon=1.0),

@@ -117,7 +117,9 @@ def test_datastore_places_replicas():
     job = _job_with_input()
     store.place_job_inputs(job)
     for task in job.phases[0].tasks:
-        assert len(task.preferred_machines) == 3
+        assert len(store.local_machines(task)) == 3
+        # Placements live in the store; the immutable task is untouched.
+        assert task.preferred_machines == ()
 
 
 def test_datastore_placement_is_stable():
@@ -144,8 +146,8 @@ def test_datastore_only_places_input_phases():
     store = DataStore(num_machines=10)
     job = make_chain_job(0, 0.0, [[1.0] * 2, [1.0]])
     store.place_job_inputs(job)
-    assert all(t.preferred_machines for t in job.phases[0].tasks)
-    assert all(not t.preferred_machines for t in job.phases[1].tasks)
+    assert all(store.local_machines(t) for t in job.phases[0].tasks)
+    assert all(not store.local_machines(t) for t in job.phases[1].tasks)
 
 
 def test_datastore_respects_existing_preference():

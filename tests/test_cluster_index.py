@@ -265,7 +265,7 @@ def test_index_after_simulation_run_matches_scan():
         cluster=cluster,
         policy=CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1),
         speculation=lambda: LATE(),
-        trace=trace.fresh_copy(),
+        trace=trace,
         straggler_model=ParetoRedrawStragglerModel(beta=1.4),
         config=CentralizedConfig(),
         random_source=RandomSource(seed=6),

@@ -59,7 +59,7 @@ def test_single_job_completes():
 def test_all_jobs_complete_under_every_policy(policy):
     trace = _trace(num_jobs=12)
     sim, result = _simulate(
-        trace.fresh_copy(),
+        trace,
         workers=30,
         config=_config(worker_policy=policy),
         straggler=ParetoRedrawStragglerModel(beta=1.4),
@@ -70,7 +70,7 @@ def test_all_jobs_complete_under_every_policy(policy):
 def test_workers_end_idle():
     trace = _trace(num_jobs=10)
     sim, result = _simulate(
-        trace.fresh_copy(),
+        trace,
         workers=25,
         straggler=ParetoRedrawStragglerModel(beta=1.4),
     )
@@ -83,7 +83,7 @@ def test_workers_end_idle():
 def test_occupied_accounting_balances():
     trace = _trace(num_jobs=10)
     sim, result = _simulate(
-        trace.fresh_copy(),
+        trace,
         workers=25,
         straggler=ParetoRedrawStragglerModel(beta=1.4),
     )
@@ -93,7 +93,7 @@ def test_occupied_accounting_balances():
 
 def test_messages_are_counted():
     trace = _trace(num_jobs=5)
-    sim, result = _simulate(trace.fresh_copy(), workers=20)
+    sim, result = _simulate(trace, workers=20)
     # at least probe_ratio messages per task were sent
     assert result.messages_sent >= 4 * trace.total_tasks * 0.5
 
@@ -101,14 +101,14 @@ def test_messages_are_counted():
 def test_probe_ratio_bounds_queue_growth():
     trace = _trace(num_jobs=5)
     config = _config(probe_ratio=2.0, max_probes_per_job=50)
-    sim, result = _simulate(trace.fresh_copy(), workers=20, config=config)
+    sim, result = _simulate(trace, workers=20, config=config)
     assert result.num_jobs == 5
 
 
 def test_speculation_happens_with_stragglers():
     trace = _trace(num_jobs=15, max_tasks=40)
     sim, result = _simulate(
-        trace.fresh_copy(),
+        trace,
         workers=50,
         straggler=ParetoRedrawStragglerModel(beta=1.2),
     )
@@ -119,7 +119,7 @@ def test_speculation_happens_with_stragglers():
 def test_no_speculation_policy_never_duplicates():
     trace = _trace(num_jobs=10)
     sim, result = _simulate(
-        trace.fresh_copy(),
+        trace,
         workers=30,
         spec=lambda: NoSpeculation(),
         straggler=ParetoRedrawStragglerModel(beta=1.3),
@@ -131,12 +131,12 @@ def test_no_speculation_policy_never_duplicates():
 def test_speculation_improves_completion_with_heavy_tails():
     trace = _trace(num_jobs=15, max_tasks=40)
     _, with_spec = _simulate(
-        trace.fresh_copy(),
+        trace,
         workers=60,
         straggler=ParetoRedrawStragglerModel(beta=1.2),
     )
     _, without = _simulate(
-        trace.fresh_copy(),
+        trace,
         workers=60,
         spec=lambda: NoSpeculation(),
         straggler=ParetoRedrawStragglerModel(beta=1.2),
@@ -153,7 +153,7 @@ def test_dag_jobs_complete():
 def test_refusals_record_guideline_decisions():
     trace = _trace(num_jobs=15, interarrival=0.2)
     sim, result = _simulate(
-        trace.fresh_copy(),
+        trace,
         workers=15,  # scarce: force contention
         config=_config(refusal_threshold=2),
         straggler=ParetoRedrawStragglerModel(beta=1.4),
@@ -166,7 +166,7 @@ def test_fifo_policy_is_sparrow_like():
     # FIFO worker policy must also drain everything.
     trace = _trace(num_jobs=10, interarrival=0.2)
     sim, result = _simulate(
-        trace.fresh_copy(),
+        trace,
         workers=10,
         config=_config(worker_policy=WorkerPolicy.FIFO, probe_ratio=2.0),
         straggler=ParetoRedrawStragglerModel(beta=1.4),
@@ -179,7 +179,7 @@ def test_results_reproducible():
 
     def run_once():
         _, result = _simulate(
-            trace.fresh_copy(),
+            trace,
             workers=25,
             straggler=ParetoRedrawStragglerModel(beta=1.4),
             seed=3,
@@ -191,9 +191,7 @@ def test_results_reproducible():
 
 def test_zero_message_delay_supported():
     trace = _trace(num_jobs=8)
-    sim, result = _simulate(
-        trace.fresh_copy(), workers=20, config=_config(message_delay=0.0)
-    )
+    sim, result = _simulate(trace, workers=20, config=_config(message_delay=0.0))
     assert result.num_jobs == 8
 
 

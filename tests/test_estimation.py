@@ -6,6 +6,7 @@ import pytest
 
 from repro.estimation.alpha import AlphaEstimator
 from repro.estimation.beta import OnlineBetaEstimator, fit_pareto_shape
+from repro.speculation.base import JobExecutionView
 from repro.workload.distributions import ParetoDistribution
 from repro.workload.job import make_chain_job
 
@@ -121,7 +122,7 @@ def test_alpha_estimator_returns_none_without_history():
 def test_alpha_prediction_neutral_without_history():
     est = AlphaEstimator()
     job = _recurring_job(0, 20.0, name="never-seen")
-    assert est.predict_alpha(job) == 1.0
+    assert est.predict_alpha(JobExecutionView(job=job)) == 1.0
 
 
 def test_alpha_prediction_uses_history():
@@ -130,7 +131,7 @@ def test_alpha_prediction_uses_history():
         est.observe_job(_recurring_job(i, 20.0))
     new_run = _recurring_job(9, 21.0)
     # upstream work 10, predicted downstream comm 20 -> alpha ~ 2
-    assert est.predict_alpha(new_run) == pytest.approx(2.0)
+    assert est.predict_alpha(JobExecutionView(job=new_run)) == pytest.approx(2.0)
 
 
 def test_alpha_accuracy_tracking():
@@ -161,4 +162,6 @@ def test_alpha_network_rate_scales_prediction():
     est = AlphaEstimator(network_rate=2.0)
     for i in range(2):
         est.observe_job(_recurring_job(i, 20.0))
-    assert est.predict_alpha(_recurring_job(5, 20.0)) == pytest.approx(1.0)
+    assert est.predict_alpha(
+        JobExecutionView(job=_recurring_job(5, 20.0))
+    ) == pytest.approx(1.0)

@@ -1,6 +1,8 @@
 """Tests for the experiment harness, the motivating example, and
 scaled-down smoke runs of the figure experiments."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.experiments.harness import (
@@ -13,6 +15,7 @@ from repro.experiments.motivating import (
     run_motivating_example,
 )
 from repro.experiments import figures
+from repro.metrics.serialize import dumps_result
 from repro.workload.generator import SPARK_FACEBOOK_PROFILE
 
 
@@ -90,10 +93,40 @@ def test_run_simulator_does_not_mutate_trace():
     spec = _tiny_spec()
     trace = build_trace(spec)
     run_simulator("srpt", trace, spec, plane="centralized")
-    assert all(j.finish_time is None for j in trace.jobs)
+    assert trace == build_trace(spec)
     # replayable again
     result = run_simulator("srpt", trace, spec, plane="centralized")
     assert result.num_jobs == 20
+
+
+def test_shared_trace_replays_identically_on_every_plane():
+    """One immutable trace replayed back-to-back on every plane (Hopper
+    twice, once with a DataStore placing inputs) gives, run for run, the
+    result of a freshly built trace and is itself left unchanged."""
+    spec = _tiny_spec()
+    trace = build_trace(spec)
+    runs = [
+        ("centralized/hopper", {}),
+        ("decentralized/hopper", {}),
+        ("batch/hopper", {}),
+        ("centralized/hopper", {}),
+        ("centralized/hopper", {"with_locality": True}),
+    ]
+    for system, knobs in runs:
+        shared = run_simulator(system, trace, spec, **knobs)
+        fresh = run_simulator(system, build_trace(spec), spec, **knobs)
+        assert dumps_result(shared) == dumps_result(fresh), system
+    rebuilt = build_trace(spec)
+    assert trace == rebuilt
+    prefs = [t.preferred_machines for j in trace for t in j.all_tasks()]
+    assert prefs == [t.preferred_machines for j in rebuilt for t in j.all_tasks()]
+    job = trace.jobs[0]
+    with pytest.raises(FrozenInstanceError):
+        job.phases[0].tasks[0].size = 2.0
+    with pytest.raises(FrozenInstanceError):
+        job.arrival_time = 0.0
+    with pytest.raises(FrozenInstanceError):
+        job.phases[0].tasks = ()
 
 
 def test_run_simulator_decentralized_all_systems():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simulation.rng import RandomSource
+from repro.speculation.base import JobExecutionView
 from repro.workload.generator import (
     FACEBOOK_PROFILE,
     SPARK_FACEBOOK_PROFILE,
@@ -176,22 +177,6 @@ def test_rescaled_preserves_job_count_and_work():
     assert rescaled.total_work == pytest.approx(trace.total_work)
 
 
-def test_fresh_copy_clears_runtime_state():
-    trace = _small_trace(n=5)
-    job = trace.jobs[0]
-    job.finish_time = 1.0
-    task = job.phases[0].tasks[0]
-    from repro.workload.task import TaskState
-
-    task.state = TaskState.FINISHED
-    job.phases[0].mark_task_finished(task.size)
-    fresh = trace.fresh_copy()
-    assert fresh.jobs[0].finish_time is None
-    assert fresh.jobs[0].remaining_tasks() == job.num_tasks
-    # original untouched
-    assert trace.jobs[0].finish_time == 1.0
-
-
 def test_merge_traces_interleaves():
     a = _small_trace(seed=1, n=10)
     b = _small_trace(seed=2, n=10)
@@ -203,28 +188,18 @@ def test_merge_traces_interleaves():
 
 def test_merge_traces_does_not_share_jobs_with_sources():
     """Regression: replaying a merged trace must not mutate the originals."""
-    from repro.workload.task import TaskState
-
     a = _small_trace(seed=1, n=5)
     b = _small_trace(seed=2, n=5)
     merged = merge_traces([a, b])
-    assert all(
-        merged_job is not source_job
-        for merged_job in merged.jobs
-        for source_job in list(a.jobs) + list(b.jobs)
-    )
-    # Simulate a replay mutating the merged trace's runtime state.
+    # A replay's progress lives in its own per-job views.
     for job in merged.jobs:
-        job.finish_time = 99.0
-        task = job.phases[0].tasks[0]
-        task.state = TaskState.FINISHED
-        job.phases[0].mark_task_finished(task.size)
+        view = JobExecutionView(job=job)
+        view.mark_finished(job.phases[0].tasks[0])
+    assert a == _small_trace(seed=1, n=5)
+    assert b == _small_trace(seed=2, n=5)
     for source_job in list(a.jobs) + list(b.jobs):
-        assert source_job.finish_time is None
-        assert source_job.remaining_tasks() == source_job.num_tasks
-        assert all(
-            t.state is TaskState.PENDING for t in source_job.all_tasks()
-        )
+        fresh = JobExecutionView(job=source_job)
+        assert fresh.remaining_tasks() == source_job.num_tasks
 
 
 def test_merge_traces_copies_per_occurrence():
@@ -256,9 +231,10 @@ def test_merge_traces_renumbers_colliding_job_ids():
 def test_merge_traces_resets_runtime_state():
     """Merging already-replayed traces yields a replayable trace."""
     a = _small_trace(seed=3, n=4)
-    a.jobs[0].finish_time = 12.0
+    replayed = JobExecutionView(job=a.jobs[0])
+    replayed.mark_finished(a.jobs[0].phases[0].tasks[0])
     merged = merge_traces([a])
-    assert all(j.finish_time is None for j in merged.jobs)
-    assert all(
-        j.remaining_tasks() == j.num_tasks for j in merged.jobs
-    )
+    assert merged == a
+    for job in merged.jobs:
+        fresh = JobExecutionView(job=job)
+        assert fresh.remaining_tasks() == job.num_tasks

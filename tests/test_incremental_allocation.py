@@ -326,7 +326,7 @@ def _make_sim(policy, blacklist=None, seed=11):
         cluster=Cluster(num_machines=num_machines, slots_per_machine=4),
         policy=policy,
         speculation=lambda: LATE(),
-        trace=build_trace(_SPEC).fresh_copy(),
+        trace=build_trace(_SPEC),
         straggler_model=MachineCorrelatedStragglerModel(
             num_machines=num_machines
         ),
@@ -448,7 +448,7 @@ def _preemption_run(cls):
         cluster=Cluster(num_machines=16, slots_per_machine=4),
         policy=HopperPolicy(epsilon=0.1),
         speculation=lambda: LATE(),
-        trace=build_trace(spec).fresh_copy(),
+        trace=build_trace(spec),
         straggler_model=ParetoRedrawStragglerModel(beta=1.15),
         config=CentralizedConfig(
             epsilon=0.1,

@@ -320,6 +320,36 @@ def test_registered_system_is_usable_end_to_end():
         RunSpec("centralized", "test-fair-clone", TINY)
 
 
+def test_registered_single_job_system_is_executed():
+    """A system registered only as a single_job system runs: the
+    single_job kind builds from SINGLE_JOB_SYSTEMS, the registry its
+    specs are validated against."""
+    from repro.centralized.policies import FairPolicy
+
+    built = []
+
+    def factory(epsilon):
+        built.append(epsilon)
+        return FairPolicy()
+
+    registry.SINGLE_JOB_SYSTEMS.register(
+        "test-single-fair", factory, description="test-only"
+    )
+    try:
+        spec = RunSpec(
+            "single_job",
+            "test-single-fair",
+            WorkloadParams(total_slots=1, seed=11),
+            knobs={"num_tasks": 20, "normalized_slots": 1.0},
+        )
+        result = spec.execute()
+    finally:
+        registry.SINGLE_JOB_SYSTEMS.unregister("test-single-fair")
+    assert built == [1.0]
+    assert result.num_jobs == 1
+    assert "test-single-fair" not in registry.CENTRALIZED_SYSTEMS.names()
+
+
 def test_registered_speculation_policy_is_resolvable():
     from repro.speculation.none import NoSpeculation
 

@@ -15,7 +15,6 @@ from repro.simulation.engine import Simulator
 from repro.speculation.base import JobExecutionView
 from repro.stragglers.progress import TaskCopy
 from repro.workload.job import make_chain_job, make_single_phase_job
-from repro.workload.task import Task, TaskState
 
 
 def _job_with_tasks(num_tasks, preferred=None, job_id=0):
@@ -41,15 +40,19 @@ def test_pop_pending_prunes_finished_tasks():
     job = _job_with_tasks(3)
     jr = JobRuntime(job)
     jr.activate_runnable_phases()
-    job.phases[0].tasks[0].state = TaskState.FINISHED
+    jr.view.mark_finished(job.phases[0].tasks[0])
     popped = jr.pop_pending()
     assert popped is job.phases[0].tasks[1]
     assert job.phases[0].tasks[0].task_id not in jr.pending_ids
 
 
-def _reference_pop(pending, prefer_machine):
+def _prefers(task, machine_id):
+    return not task.preferred_machines or machine_id in task.preferred_machines
+
+
+def _reference_pop(pending, prefer_machine, finished):
     """The pre-runtime bounded-scan pop (verbatim semantics)."""
-    while pending and pending[0].is_finished:
+    while pending and pending[0].task_id in finished:
         pending.popleft()
     if not pending:
         return None
@@ -57,17 +60,17 @@ def _reference_pop(pending, prefer_machine):
         scan_limit = min(len(pending), 64)
         for i in range(scan_limit):
             task = pending[i]
-            if not task.is_finished and task.prefers(prefer_machine):
+            if task.task_id not in finished and _prefers(task, prefer_machine):
                 del pending[i]
                 return task
     return pending.popleft()
 
 
-def _reference_has_local(pending, machine_id):
+def _reference_has_local(pending, machine_id, finished):
     scan_limit = min(len(pending), 64)
     for i in range(scan_limit):
         task = pending[i]
-        if not task.is_finished and task.prefers(machine_id):
+        if task.task_id not in finished and _prefers(task, machine_id):
             return True
     return False
 
@@ -106,12 +109,12 @@ def test_pop_pending_matches_reference_bounded_scan():
         # Randomly finish some tasks mid-queue (the scan must skip them).
         for task in job.phases[0].tasks:
             if rng.random() < 0.2:
-                task.state = TaskState.FINISHED
+                jr.view.mark_finished(task)
         while True:
             prefer = (
                 rng.randrange(num_machines) if rng.random() < 0.8 else None
             )
-            expected = _reference_pop(reference, prefer)
+            expected = _reference_pop(reference, prefer, jr.view.finished)
             actual = jr.pop_pending(prefer_machine=prefer)
             assert actual is expected
             if actual is None:
@@ -127,7 +130,7 @@ def test_has_pending_local_to_matches_reference():
         jr.activate_runnable_phases()
         for task in job.phases[0].tasks:
             if rng.random() < 0.3:
-                task.state = TaskState.FINISHED
+                jr.view.mark_finished(task)
         # Pop a few to churn the buckets.
         for _ in range(rng.randint(0, 5)):
             jr.pop_pending(
@@ -137,7 +140,7 @@ def test_has_pending_local_to_matches_reference():
             )
         for machine_id in range(num_machines):
             assert jr.has_pending_local_to(machine_id) == _reference_has_local(
-                jr.pending, machine_id
+                jr.pending, machine_id, jr.view.finished
             )
 
 
@@ -148,8 +151,8 @@ def test_bucket_fast_reject_is_exact_without_wildcards():
     assert not jr.may_have_local_pending(0)
     assert jr.may_have_local_pending(1)
     # Draining machine 1's tasks empties its bucket.
-    assert jr.pop_pending(prefer_machine=1).prefers(1)
-    assert jr.pop_pending(prefer_machine=1).prefers(1)
+    assert jr.prefers(jr.pop_pending(prefer_machine=1), 1)
+    assert jr.prefers(jr.pop_pending(prefer_machine=1), 1)
     assert not jr.may_have_local_pending(1)
     assert not jr.has_pending_local_to(1)
     assert jr.has_pending_local_to(2)
@@ -255,7 +258,7 @@ def test_ledger_launch_finish_lifecycle():
     assert copy.finished and copy.end_time == 2.0
     assert copy.copy_id not in ledger.events
     assert view.copies_of(task) == []
-    assert task.is_finished and task.finish_time == 2.0
+    assert view.finished == {task.task_id} and view.is_complete
     assert metrics.result.total_copies == 1
 
 
@@ -273,7 +276,7 @@ def test_ledger_race_kills_losers_and_accounts_waste():
     ledger.launch(view, task, 0, 5.0, False, True, on_finish)
     speculative = ledger.launch(view, task, 1, 1.0, True, True, on_finish)
     engine.run()
-    assert task.is_finished and task.completed_by_speculative
+    assert task.task_id in view.finished
     assert speculative.finished
     result = metrics.result
     assert result.speculative_copies == 1
@@ -304,10 +307,11 @@ def test_ledger_record_job_completion_stamps_job():
     job = _job_with_tasks(1)
     engine.schedule(3.0, lambda: None)
     engine.run()
-    ledger.record_job_completion(job)
-    assert job.finish_time == 3.0
+    view = JobExecutionView(job=job)
+    ledger.record_job_completion(view)
     assert metrics.result.num_jobs == 1
     assert metrics.result.jobs[0].job_id == job.job_id
+    assert metrics.result.jobs[0].finish_time == 3.0
 
 
 # -- mid-run eviction: kill -> requeue -> completion lifecycle ---------------
@@ -347,7 +351,7 @@ def _centralized_sim(num_machines=6, slots_per_machine=2, num_jobs=6):
         ),
         policy=CENTRALIZED_SYSTEMS.get("hopper").factory(epsilon=0.1),
         speculation=lambda: LATE(),
-        trace=trace.fresh_copy(),
+        trace=trace,
         straggler_model=ParetoStragglerModel(straggler_prob=0.5),
         config=CentralizedConfig(
             speculation_mode=SpeculationMode.INTEGRATED
@@ -394,8 +398,7 @@ def test_centralized_eviction_kills_requeues_and_completes():
     assert result.killed_copies >= len(killed)
     # Requeue -> completion: the trace still finishes every job.
     assert result.num_jobs == 6
-    for job in simulator.trace:
-        assert job.is_complete
+    assert {r.job_id for r in result.jobs} == {j.job_id for j in simulator.trace}
     # No leaked ledger entries or heap events.
     assert simulator.ledger.events == {}
     assert simulator.sim.pending_events == 0
@@ -437,7 +440,7 @@ def test_centralized_eviction_requeues_only_copyless_tasks():
             jr = jobs[c.task.task_id]
             survivors = jr.view.num_live_copies(c.task)
             queued = c.task.task_id in jr.pending_ids
-            observed.append((survivors, queued, c.task.is_finished))
+            observed.append((survivors, queued, c.task.task_id in jr.view.finished))
 
     simulator.sim.schedule(4.0, evict_and_audit)
     simulator.run()
@@ -469,7 +472,7 @@ def test_decentralized_eviction_kills_requeues_and_completes():
     simulator = DecentralizedSimulator(
         num_workers=num_workers,
         speculation=lambda: LATE(),
-        trace=trace.fresh_copy(),
+        trace=trace,
         straggler_model=ParetoStragglerModel(straggler_prob=0.5),
         config=DecentralizedConfig(
             worker_policy=WorkerPolicy.HOPPER, probe_ratio=4.0, epsilon=0.1
@@ -500,8 +503,7 @@ def test_decentralized_eviction_kills_requeues_and_completes():
     assert result.killed_copies >= len(killed)
     # Requeue -> completion: every job still finishes.
     assert result.num_jobs == 6
-    for job in simulator.trace:
-        assert job.is_complete
+    assert {r.job_id for r in result.jobs} == {j.job_id for j in simulator.trace}
     # No leaked ledger entries, heap events, queued requests or slots.
     assert simulator.ledger.events == {}
     assert simulator.sim.pending_events == 0

@@ -33,6 +33,7 @@ from repro.serving import (
     run_serving,
 )
 from repro.simulation.rng import RandomSource
+from repro.speculation.base import JobExecutionView
 from repro.sweep import RunSpec, WorkloadParams
 from repro.workload.generator import TraceGenerator, profile_by_name
 
@@ -103,13 +104,23 @@ def test_calibrate_arrival_rate_matches_the_rho_formula():
 
 def test_heavy_tail_modifier_scales_whole_jobs():
     job = _generator(seed=5).next_job(0.0)
-    before = [phase.remaining_work() for phase in job.phases]
+    original = _generator(seed=5).next_job(0.0)
     modifier = HeavyTailSizeModifier(2.0, random.Random(9))
     assert modifier.mean_multiplier == pytest.approx(2.0)
-    multiplier = modifier.scale_job(job)
+    scaled = modifier.scale_job(job)
+    # The source job is untouched: scale_job returns a new job.
+    assert job == original
+    assert scaled.job_id == job.job_id
+    multiplier = random.Random(9).paretovariate(2.0)  # the modifier's draw
     assert multiplier >= 1.0
-    for phase, old in zip(job.phases, before):
-        assert phase.remaining_work() == pytest.approx(old * multiplier)
+    view = JobExecutionView(job=scaled)
+    for phase, source in zip(scaled.phases, job.phases):
+        # One product, bit-equal to the unscaled total times the draw.
+        assert phase.total_work == source.total_work * multiplier
+        assert view.phase_remaining_work(phase) == phase.total_work
+        assert phase.output_data == pytest.approx(source.output_data * multiplier)
+        for task, before in zip(phase.tasks, source.tasks):
+            assert task.size == before.size * multiplier
     with pytest.raises(ValueError):
         HeavyTailSizeModifier(1.0, random.Random(9))
 
@@ -285,7 +296,7 @@ def test_serving_section_round_trips():
 def test_alpha_cache_entry_is_dropped_on_job_completion():
     estimator = AlphaEstimator()
     job = _generator(seed=2).next_job(0.0)
-    estimator.predict_alpha(job)
+    estimator.predict_alpha(JobExecutionView(job=job))
     assert job.job_id in estimator._alpha_cache
     estimator.drop_job(job.job_id)
     assert not estimator._alpha_cache

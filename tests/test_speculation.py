@@ -12,7 +12,6 @@ from repro.speculation import (
 from repro.speculation.base import JobExecutionView
 from repro.stragglers.progress import TaskCopy
 from repro.workload.job import make_single_phase_job
-from repro.workload.task import TaskState
 
 
 def _view(num_tasks=4, sizes=None):
@@ -185,9 +184,7 @@ def test_grass_is_conservative_early_aggressive_late():
     # Late phase: finish 3 of 4 tasks -> GS mode, needs only trem > tnew.
     view_late = _view()
     for i in (1, 2, 3):
-        task = view_late.job.phases[0].tasks[i]
-        task.state = TaskState.FINISHED
-        view_late.job.phases[0].mark_task_finished(task.size)
+        view_late.mark_finished(view_late.job.phases[0].tasks[i])
     _run_copy(view_late, 0, 0.0, 15.0)
     view_late.completed_durations.append(10.0)
     assert len(grass.speculation_candidates(view_late, 2.0)) == 1
@@ -204,6 +201,6 @@ def test_policies_never_duplicate_finished_tasks():
     for policy in (LATE(detect_after=0.1), Mantri(), GRASS()):
         view = _view()
         copy = _run_copy(view, 0, 0.0, 30.0)
-        copy.task.state = TaskState.FINISHED
+        view.mark_finished(copy.task)
         view.remove_copy(copy)
         assert policy.speculation_candidates(view, 5.0) == []
