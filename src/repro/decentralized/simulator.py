@@ -10,6 +10,14 @@ all live on the delayed control path.
 
 Scale-out notes (10k+-slot clusters):
 
+* workers are created on demand: ``self.workers`` starts as one
+  ``None`` per slot, the probe sample pool holds worker *ids*, and a
+  :class:`~repro.decentralized.worker.Worker` comes into being the
+  first time a probe samples it (or a membership change touches it), so
+  a run pays only for the workers its probes reach. The pool is sampled
+  by position, exactly as a list of workers would be, so the picks and
+  the entropy use do not depend on which workers exist yet. Busy slots
+  are one running total (``busy_slots``), not a sum over workers;
 * control messages destined for the same simulation tick are *batched*
   into one engine event, so a probe burst of ``k`` probes costs one heap
   push instead of ``k``. The batch is only extended while the engine's
@@ -35,7 +43,7 @@ path is untouched and replays are bit-identical.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.elastic import AutoscalerPolicy, ElasticController
@@ -116,11 +124,11 @@ class DecentralizedSimulator:
             network_rate=self.config.network_rate
         )
 
-        self.workers: List[Worker] = [
-            Worker(worker_id=i, num_slots=slots_per_worker, sim=self)
-            for i in range(num_workers)
-        ]
+        # Created on first use (see module docs and :meth:`worker`).
+        self.workers: List[Optional[Worker]] = [None] * num_workers
         self.total_slots = num_workers * slots_per_worker
+        #: Slots running a copy, over all workers (kept by Worker).
+        self.busy_slots = 0
         self.schedulers: List[SchedulerAgent] = [
             SchedulerAgent(scheduler_id=i, sim=self)
             for i in range(self.config.num_schedulers)
@@ -140,12 +148,12 @@ class DecentralizedSimulator:
         self._open_batch_time = 0.0
         self._open_batch_seq = -1
         self._metrics_result = self.metrics.result
-        # Blacklisting: with no policy the sample pool IS the worker
-        # list (same object — identical entropy consumption) and no
-        # mirror cluster exists; the hot paths pay one None check.
+        # Blacklisting: with no policy the sample pool is every worker
+        # id and no mirror cluster exists; the hot paths pay one None
+        # check. Otherwise the pool lists the live ids.
         self.blacklist_policy = blacklist_policy
         self._slots_per_worker = slots_per_worker
-        self._sample_pool: List[Worker] = self.workers
+        self._sample_pool: Sequence[int] = range(num_workers)
         self._power_of_d = self.config.power_of_d
         self.cluster: Optional[Cluster] = None
         if blacklist_policy is not None or autoscaler is not None:
@@ -164,11 +172,7 @@ class DecentralizedSimulator:
                 policy=autoscaler,
                 add_machines=self._autoscale_add,
                 remove_machines=self._autoscale_remove,
-                # O(live workers) per reactive sample — paid only on the
-                # sampling cadence, never on the message hot path.
-                busy_slots=lambda: sum(
-                    w.busy_slots for w in self._sample_pool
-                ),
+                busy_slots=lambda: self.busy_slots,
                 total_slots=lambda: self.total_slots,
                 keep_sampling=lambda: self._active_jobs > 0,
                 obs=obs,
@@ -224,24 +228,37 @@ class DecentralizedSimulator:
         for fn, args in batch:
             fn(*args)
 
+    def worker(self, worker_id: int) -> Worker:
+        """The worker with this id, created on first use."""
+        worker = self.workers[worker_id]
+        if worker is None:
+            worker = self.workers[worker_id] = Worker(
+                worker_id=worker_id, num_slots=self._slots_per_worker, sim=self
+            )
+        return worker
+
     def sample_workers(self, count: int) -> List[Worker]:
         """Sample ``count`` distinct non-evicted workers (all, if fewer).
 
         With ``power_of_d == 1`` (the default) this is plain uniform
-        sampling over the pool — without a blacklist policy the pool is
-        the full worker list, the same object, so entropy use is
-        unchanged. With ``power_of_d > 1`` the sampler draws ``d x
+        sampling over the pool of worker ids. ``random.sample`` picks
+        positions from the pool's length alone, so the draw does not
+        depend on which workers exist yet; only the picked ones are
+        created. With ``power_of_d > 1`` the sampler draws ``d x
         count`` candidates uniformly and keeps the ``count``
         least-loaded (queue depth plus busy slots; ties keep the draw
         order, so the choice is deterministic given the draw).
         """
         pool = self._sample_pool
+        worker = self.worker
         if count >= len(pool):
-            return list(pool)
+            return [worker(i) for i in pool]
         d = self._power_of_d
         if d == 1:
-            return self.rng.sample(pool, count)
-        candidates = self.rng.sample(pool, min(count * d, len(pool)))
+            return [worker(i) for i in self.rng.sample(pool, count)]
+        candidates = [
+            worker(i) for i in self.rng.sample(pool, min(count * d, len(pool)))
+        ]
         if len(candidates) <= count:
             return candidates
         order = sorted(
@@ -296,6 +313,7 @@ class DecentralizedSimulator:
         holders = self._request_holders.pop(job_id, None)
         if not holders:
             return
+        # Holders queued a request, so they exist: plain indexing.
         workers = self.workers
         for worker_id in holders:
             workers[worker_id].drop_completed_job(job_id)
@@ -407,7 +425,8 @@ class DecentralizedSimulator:
         sj = scheduler.jobs.get(task.job_id) if scheduler else None
         # Freeing the worker's slot may start a new selection episode;
         # that must observe the pre-finish view/gossip, exactly as the
-        # pre-ledger simulator did, so the view update comes after.
+        # pre-ledger simulator did, so the view update comes after. The
+        # worker ran the copy, so it exists: plain indexing.
         self.workers[copy.machine_id].release_copy(copy)
         won = self.ledger.record_finish(copy, None if sj is None else sj.view)
         if sj is None:
@@ -467,8 +486,7 @@ class DecentralizedSimulator:
     def _evict_worker(self, worker_id: int) -> None:
         """Blacklist a worker mid-run: drop it from the probe pool, kill
         its running copies, and requeue tasks whose last copy died."""
-        worker = self.workers[worker_id]
-        victims = worker.evict()
+        victims = self.worker(worker_id).evict()
         # Blacklist + pool refresh BEFORE requeueing, so the replacement
         # probes sent below can never target the worker being evicted.
         self.cluster.blacklist.add(worker_id)
@@ -500,7 +518,7 @@ class DecentralizedSimulator:
 
     def _reinstate_worker(self, worker_id: int) -> None:
         """Probation served: the worker rejoins the probe pool."""
-        self.workers[worker_id].reinstate()
+        self.worker(worker_id).reinstate()
         self.cluster.blacklist.remove(worker_id)
         self._apply_blacklist()
         self.metrics.record_reinstatement()
@@ -524,19 +542,8 @@ class DecentralizedSimulator:
                 self._rebuild_cluster_state()
 
     def _rebuild_cluster_state(self) -> None:
-        cluster = self.cluster
-        cluster.apply_blacklist()
-        workers = self.workers
-        self._sample_pool = [
-            workers[machine_id]
-            for machine_id in cluster.index.free_machine_ids()
-        ]
-        total = len(self._sample_pool) * self._slots_per_worker
-        # Live capacity, kept current so external probes (the serving
-        # driver's utilization sampler) never count evicted workers.
-        self.total_slots = total
-        for scheduler in self.schedulers:
-            scheduler.on_cluster_resize(total)
+        self.cluster.apply_blacklist()
+        self._refresh_membership()
 
     # -- elastic membership (autoscaler resizes) ------------------------------
 
@@ -546,12 +553,10 @@ class DecentralizedSimulator:
         delta-updated, so only the derived state (probe sample pool,
         live capacity, ε-fair floors) is rebuilt — no ``apply_blacklist``
         rescan, no Fenwick rebuild."""
-        workers = self.workers
-        self._sample_pool = [
-            workers[machine_id]
-            for machine_id in self.cluster.index.free_machine_ids()
-        ]
+        self._sample_pool = self.cluster.index.free_machine_ids()
         total = len(self._sample_pool) * self._slots_per_worker
+        # Live capacity, kept current so external probes (the serving
+        # driver's utilization sampler) never count evicted workers.
         self.total_slots = total
         for scheduler in self.schedulers:
             scheduler.on_cluster_resize(total)
@@ -559,16 +564,10 @@ class DecentralizedSimulator:
     def _autoscale_add(self, count: int) -> int:
         """ADD_MACHINE: grow the worker set. New workers take fresh ids
         (append-only, so per-id state everywhere stays valid) and join
-        the probe sample pool immediately."""
+        the probe sample pool immediately; each is created on its first
+        probe."""
         for _ in range(count):
-            worker_id = len(self.workers)
-            self.workers.append(
-                Worker(
-                    worker_id=worker_id,
-                    num_slots=self._slots_per_worker,
-                    sim=self,
-                )
-            )
+            self.workers.append(None)
             self.cluster.add_machine(num_slots=self._slots_per_worker)
         self._refresh_membership()
         return count
@@ -591,8 +590,7 @@ class DecentralizedSimulator:
                 break
             if machine.retired or machine.blacklisted:
                 continue
-            worker = self.workers[machine.machine_id]
-            victims = worker.evict()
+            victims = self.worker(machine.machine_id).evict()
             cluster.remove_machine(machine.machine_id)
             for copy in victims:
                 scheduler = self._owner.get(copy.task.job_id)

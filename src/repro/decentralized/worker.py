@@ -382,10 +382,12 @@ class Worker:
 
     def bind_copy(self, copy: TaskCopy) -> None:
         self.busy_slots += 1
+        self.sim.busy_slots += 1
         self.running.append(copy)
 
     def release_copy(self, copy: TaskCopy) -> None:
         self.busy_slots -= 1
+        self.sim.busy_slots -= 1
         try:
             self.running.remove(copy)
         except ValueError:

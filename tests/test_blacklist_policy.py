@@ -284,8 +284,8 @@ def test_eviction_requeues_speculative_orphans():
     simulator, scheduler, sj = _direct_decentralized_sim()
     task = sj.next_pending()
     sj.occupied += 2  # the accepts' eager occupancy reservations
-    simulator.start_copy(simulator.workers[0], task, False)
-    simulator.start_copy(simulator.workers[1], task, True)
+    simulator.start_copy(simulator.worker(0), task, False)
+    simulator.start_copy(simulator.worker(1), task, True)
 
     simulator._evict_worker(0)  # original dies; spec sibling carries it
     assert task.task_id not in sj.pending_ids
@@ -303,8 +303,8 @@ def test_raced_accept_on_evicted_worker_requeues_orphans():
     simulator, scheduler, sj = _direct_decentralized_sim()
     task = sj.next_pending()
     sj.occupied += 1
-    simulator.workers[2].evict()
-    simulator.start_copy(simulator.workers[2], task, True)
+    simulator.worker(2).evict()
+    simulator.start_copy(simulator.worker(2), task, True)
     assert sj.view.num_live_copies(task) == 0
     assert task.task_id in sj.pending_ids
     assert sj.occupied == 0
@@ -317,13 +317,13 @@ def test_requeue_probes_skip_the_evicted_worker():
     simulator, scheduler, sj = _direct_decentralized_sim()
     task = sj.next_pending()
     sj.occupied += 1
-    simulator.start_copy(simulator.workers[3], task, False)
+    simulator.start_copy(simulator.worker(3), task, False)
 
     pools = []
     original = simulator.sample_workers
 
     def spying_sample(count):
-        pools.append({w.worker_id for w in simulator._sample_pool})
+        pools.append(set(simulator._sample_pool))
         return original(count)
 
     simulator.sample_workers = spying_sample
@@ -383,14 +383,14 @@ def test_probation_reinstates_machines_end_to_end():
         simulator.cluster.blacklist.blacklisted_machines
         == set(policy.evicted_machines)
     )
-    for worker in simulator.workers:
-        expected = worker.worker_id in policy.evicted_machines
-        assert worker.evicted == expected
-    pool_ids = {w.worker_id for w in simulator._sample_pool}
-    assert pool_ids == {
-        w.worker_id
-        for w in simulator.workers
-        if w.worker_id not in policy.evicted_machines
+    worker_ids = range(len(simulator.workers))
+    for worker_id in worker_ids:
+        expected = worker_id in policy.evicted_machines
+        assert simulator.worker(worker_id).evicted == expected
+    assert set(simulator._sample_pool) == {
+        worker_id
+        for worker_id in worker_ids
+        if worker_id not in policy.evicted_machines
     }
     # Reinstated workers finished the run doing work again or at least
     # rejoined the pool; every job still completed.

@@ -75,7 +75,8 @@ def test_workers_end_idle():
         straggler=ParetoRedrawStragglerModel(beta=1.4),
     )
     assert result.num_jobs == 10
-    for worker in sim.workers:
+    for worker_id in range(len(sim.workers)):
+        worker = sim.worker(worker_id)
         assert worker.busy_slots == 0
         assert worker.pending_episodes == 0
 
@@ -222,3 +223,212 @@ def test_srpt_worker_policy_prioritizes_small_jobs():
     )
     durations = {r.job_id: r.duration for r in result.jobs}
     assert durations[0] < durations[1]
+
+
+# -- on-demand workers ---------------------------------------------------------
+
+#: A small contended replay (60 slots, 20 jobs at 80% load) for the pins
+#: and the membership tests below.
+_PINNED = dict(
+    profile="spark-facebook",
+    num_jobs=20,
+    utilization=0.8,
+    total_slots=60,
+    max_phase_tasks=30,
+)
+_CHURN = dict(
+    straggler_model="machine-correlated",
+    strike_threshold=1,
+    blacklist_policy="strikes",
+)
+
+
+def _pinned_params():
+    from repro.sweep import WorkloadParams
+
+    return WorkloadParams(**_PINNED)
+
+
+@pytest.mark.parametrize(
+    "system,knobs,digest",
+    [
+        # power_of_d=2: candidates sorted by len(queue) + busy_slots.
+        (
+            "sparrow-po2",
+            {},
+            "51a744937e072231a6ed875f286faa8ac6805556a7bf5a6329d7de40a30680c6",
+        ),
+        # Late binding: reserve, then pull the task.
+        (
+            "sparrow-lb",
+            {},
+            "e1c3a2cecc1e5241502674885647add9a05af4c2949a933472d32e0b07d6428c",
+        ),
+        # The id pool after an eviction, a reinstatement and both resizes.
+        (
+            "sparrow-po2",
+            dict(
+                _CHURN,
+                strike_threshold=2,
+                blacklist_policy="strikes-probation",
+                autoscaler="schedule",
+                resize_schedule="5:-10,20:+12",
+            ),
+            "27b4bcb8139c2070bb70d230b1aa166a8981173d62c97bfaa3bb9552433a0ab8",
+        ),
+        # The reactive autoscaler samples the busy-slot total.
+        (
+            "hopper",
+            dict(_CHURN, autoscaler="reactive", scale_interval=2.0),
+            "23fdbf7fa75bb3d9d0f4cedc6898a9f15e2b9435e0bd22d03819801fcbf6165c",
+        ),
+    ],
+)
+def test_sampler_paths_are_pinned(system, knobs, digest):
+    """Result digests of sampler paths no golden study covers, taken
+    with one eager ``Worker`` per slot: creating workers on first probe
+    must leave every draw and every result byte-identical."""
+    import hashlib
+
+    from repro.metrics.serialize import dumps_result
+    from repro.sweep import RunSpec
+
+    result = RunSpec(
+        "decentralized",
+        system,
+        _pinned_params(),
+        speculation="late",
+        run_seed=5,
+        knobs=knobs,
+    ).execute()
+    assert result.num_jobs == _PINNED["num_jobs"]
+    assert hashlib.sha256(dumps_result(result).encode()).hexdigest() == digest
+
+
+def _created(sim):
+    return [w for w in sim.workers if w is not None]
+
+
+def test_million_slot_build_creates_no_workers():
+    job = make_single_phase_job(0, 0.0, [1.0] * 4)
+    sim = DecentralizedSimulator(
+        num_workers=1_000_000,
+        speculation=lambda: LATE(),
+        trace=Trace(jobs=[job]),
+        straggler_model=NoStragglerModel(),
+        config=_config(),
+    )
+    assert len(sim.workers) == 1_000_000
+    assert _created(sim) == []
+    assert sim.total_slots == 1_000_000
+
+
+def test_run_creates_only_probed_workers():
+    trace = _trace(num_jobs=6, max_tasks=10)
+    sim = DecentralizedSimulator(
+        num_workers=5000,
+        speculation=lambda: LATE(),
+        trace=trace,
+        straggler_model=ParetoRedrawStragglerModel(beta=1.4),
+        config=_config(),
+        random_source=RandomSource(seed=7),
+    )
+    sampled = []
+    sample = sim.sample_workers
+
+    def spying_sample(count):
+        workers = sample(count)
+        sampled.extend(w.worker_id for w in workers)
+        return workers
+
+    sim.sample_workers = spying_sample
+    result = sim.run()
+    assert result.num_jobs == 6
+    created = _created(sim)
+    assert 0 < len(created) <= len(sampled) < 5000
+    assert {w.worker_id for w in created} == set(sampled)
+
+
+def test_unprobed_workers_evicted_or_retired_stay_out_of_the_pool():
+    """Membership changes may touch workers no probe has reached yet:
+    they leave the sample pool, no probe ever targets them, and the
+    run still finishes every job."""
+    from repro.cluster.elastic import ScheduleAutoscaler
+    from repro.cluster.policy import StrikeBlacklistPolicy
+
+    trace = _trace(num_jobs=8)
+    num_workers = 40
+    sim = DecentralizedSimulator(
+        num_workers=num_workers,
+        speculation=lambda: LATE(),
+        trace=trace,
+        straggler_model=ParetoRedrawStragglerModel(beta=1.4),
+        config=_config(),
+        random_source=RandomSource(seed=7),
+        # Inert policy: the test evicts by hand.
+        blacklist_policy=StrikeBlacklistPolicy(num_workers, strike_threshold=10**6),
+        autoscaler=ScheduleAutoscaler([(1e9, 1)]),
+    )
+    assert _created(sim) == []
+    sim._evict_worker(3)
+    assert sim._autoscale_remove(5) == 5  # retires ids 39..35
+    gone = {3, 35, 36, 37, 38, 39}
+    assert gone.isdisjoint(sim._sample_pool)
+    assert len(sim._sample_pool) == num_workers - len(gone)
+    assert sim.total_slots == num_workers - len(gone)
+    assert all(sim.worker(i).evicted for i in gone)
+
+    sampled = set()
+    sample = sim.sample_workers
+
+    def spying_sample(count):
+        workers = sample(count)
+        sampled.update(w.worker_id for w in workers)
+        return workers
+
+    sim.sample_workers = spying_sample
+    result = sim.run(until=1_000)
+    assert result.num_jobs == 8
+    assert sampled and gone.isdisjoint(sampled)
+    assert all(sim.worker(i).running == [] for i in gone)
+
+
+def test_busy_slot_total_matches_workers_after_every_event():
+    """The simulator's O(1) busy-slot total equals the sum over created
+    workers (and over the live pool) after every event, through
+    strike evictions and a scheduled shrink and grow."""
+    from repro.cluster.elastic import ScheduleAutoscaler
+    from repro.experiments.harness import build_simulator, build_trace
+
+    spec = _pinned_params().to_workload_spec()
+    sim = build_simulator(
+        "hopper",
+        build_trace(spec),
+        spec,
+        plane="decentralized",
+        run_seed=5,
+        autoscaler=ScheduleAutoscaler([(5.0, -10), (20.0, 12)]),
+        **_CHURN,
+    )
+
+    def check():
+        by_worker = sum(w.busy_slots for w in _created(sim))
+        assert sim.busy_slots == by_worker
+        live = [sim.workers[i] for i in sim._sample_pool]
+        assert by_worker == sum(w.busy_slots for w in live if w is not None)
+
+    sim.run(until=0.0)  # schedules the arrivals; no copy binds at t=0
+    check()
+    events = 0
+    busy_seen = 0
+    while sim.sim.peek_next_time() is not None:
+        sim.sim.run(max_events=1)
+        check()
+        events += 1
+        busy_seen = max(busy_seen, sim.busy_slots)
+    result = sim.metrics.result
+    assert result.num_jobs == _PINNED["num_jobs"]
+    assert result.evictions > 0
+    assert len(sim.workers) == _PINNED["total_slots"] + 12
+    assert events > 100 and busy_seen > 0
+    assert sim.busy_slots == 0

@@ -295,7 +295,7 @@ def test_decentralized_probe_reports_live_capacity():
     assert probe.total_slots() == 20
     removed = simulator._autoscale_remove(5)
     assert removed == 5
-    dead_sum = sum(w.num_slots for w in simulator.workers)
+    dead_sum = sum(simulator.worker(i).num_slots for i in range(len(simulator.workers)))
     assert dead_sum == 20  # the buggy denominator would still say 20
     assert probe.total_slots() == 15
     added = simulator._autoscale_add(2)

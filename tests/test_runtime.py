@@ -488,7 +488,9 @@ def test_decentralized_eviction_kills_requeues_and_completes():
 
     def evict_busiest_worker():
         busiest = max(
-            simulator.workers, key=lambda w: len(w.running), default=None
+            (simulator.worker(i) for i in range(num_workers)),
+            key=lambda w: len(w.running),
+            default=None,
         )
         if busiest is not None and busiest.running:
             evicted.append((busiest, list(busiest.running)))
@@ -513,5 +515,5 @@ def test_decentralized_eviction_kills_requeues_and_completes():
     # The mirror substrate recorded the eviction and rebuilt its index.
     assert simulator.cluster.blacklist.is_blacklisted(worker.worker_id)
     assert worker.worker_id not in simulator.cluster.index.free_machine_ids()
-    assert worker not in simulator._sample_pool
+    assert worker.worker_id not in simulator._sample_pool
     assert len(simulator._sample_pool) == num_workers - 1
