@@ -162,8 +162,8 @@ def run_once_elastic(
     ``ELASTIC_CHURN_EVENTS`` alternating shrink/grow events, each moving
     ``ELASTIC_CHURN`` of the machine fleet. The delta over
     :func:`run_once_centralized` prices the membership-update and
-    kill→requeue paths (Cluster.add_machine/remove_machine must stay
-    O(log machines) for this row to hold its rate)."""
+    kill→requeue paths (Cluster.add_machine/retire_machines must stay
+    O(log machines) per machine for this row to hold its rate)."""
     from repro.cluster.elastic import ScheduleAutoscaler
 
     num_machines = max(1, total_slots // 4)  # harness default: 4 slots each

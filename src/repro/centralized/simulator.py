@@ -41,12 +41,14 @@ Scale-out notes (10k+-slot clusters):
 
 Blacklisting (§2.2): an optional
 :class:`~repro.cluster.policy.BlacklistPolicy` observes every copy
-completion; when it evicts a machine the simulator kills the machine's
-running copies through the ledger, requeues originals whose last copy
-died, and applies the blacklist to the cluster (which rebuilds the
-free-slot index). With no policy (the default) the whole path is a
-single ``is not None`` check per completion — replays are bit-identical
-to the policy-free simulator.
+completion; when it evicts a machine the simulator marks it evicted in
+the cluster (an O(log machines) delta on the totals and the free-slot
+index, so no copy can land on it again), then kills the machine's
+running copies through the ledger and requeues originals whose last
+copy died. Reinstatement after probation is the reverse delta. With no
+policy (the default) the whole path is a single ``is not None`` check
+per completion — replays are bit-identical to the policy-free
+simulator.
 """
 
 from __future__ import annotations
@@ -233,7 +235,6 @@ class CentralizedSimulator:
 
     def run(self, until: Optional[float] = None) -> SimulationResult:
         """Replay the whole trace; returns the metrics."""
-        self.cluster.reset()
         self.sim.schedule_many(
             (
                 (job.arrival_time, self._on_job_arrival, (job,))
@@ -386,16 +387,16 @@ class CentralizedSimulator:
 
     def _pick_machine(self, jr: _JobRuntime, task: Task) -> Optional[int]:
         """Free machine for a copy: local replica holder if possible."""
-        machines = self.cluster.machines
+        cluster = self.cluster
         for machine_id in jr.local_machines(task):
-            if machines[machine_id].has_free_slot:
+            if cluster.has_free_slot(machine_id):
                 return machine_id
-        index = self.cluster.index
+        index = cluster.index
         free_count = index.free_machine_count
         if not free_count:
             return None
         # Same entropy draw and same ascending-id selection order as
-        # rng.choice(machines_with_free_slots()) on the scan-based path.
+        # rng.choice() over a scan of the free machines.
         return index.nth_free_machine(self._rng.randrange(free_count))
 
     # ------------------------------------------------------------- events ----
@@ -583,12 +584,11 @@ class CentralizedSimulator:
         return len(victims)
 
     def _evict_machine(self, machine_id: int) -> None:
-        """Blacklist ``machine_id`` mid-run: kill its running copies,
-        requeue originals whose last copy died, and rebuild the index."""
-        cluster = self.cluster
-        cluster.blacklist.add(machine_id)
+        """Blacklist ``machine_id`` mid-run: take it out of the cluster,
+        kill its running copies and requeue originals whose last copy
+        died."""
+        self.cluster.evict_machine(machine_id)
         num_victims = self._kill_machine_copies(machine_id)
-        self._apply_blacklist()  # machine flags + totals + index rebuild
         self._resize_slot_pool()
         self.metrics.record_eviction()
         obs = self.obs
@@ -602,9 +602,7 @@ class CentralizedSimulator:
 
     def _reinstate_machine(self, machine_id: int) -> None:
         """Probation served: return the machine's slots to the pool."""
-        cluster = self.cluster
-        cluster.blacklist.remove(machine_id)
-        self._apply_blacklist()
+        self.cluster.reinstate_machine(machine_id)
         self._resize_slot_pool()
         self.metrics.record_reinstatement()
         obs = self.obs
@@ -615,16 +613,6 @@ class CentralizedSimulator:
                     "blacklist", "reinstate", self.sim.now, machine=machine_id
                 )
 
-    def _apply_blacklist(self) -> None:
-        """Apply blacklist changes to the cluster (index rebuild), timed
-        as ``index.rebuild`` when observability is on."""
-        obs = self.obs
-        if obs is None:
-            self.cluster.apply_blacklist()
-        else:
-            with obs.timers.phase("index.rebuild"):
-                self.cluster.apply_blacklist()
-
     # ------------------------------------------------------------- elastic ----
 
     def _autoscale_add(self, count: int) -> int:
@@ -632,9 +620,8 @@ class CentralizedSimulator:
         via the Fenwick append — no index rebuild) and dispatch onto the
         new capacity at this plane's dispatch point."""
         cluster = self.cluster
-        num_slots = cluster.machines[0].num_slots
         for _ in range(count):
-            cluster.add_machine(num_slots=num_slots)
+            cluster.add_machine()
         self._resize_slot_pool()
         self._request_dispatch()
         return count
@@ -643,27 +630,20 @@ class CentralizedSimulator:
         """REMOVE_MACHINE: retire up to ``count`` machines (highest live
         ids first), reusing the eviction kill→requeue path for their
         running copies. Clamped so at least ``min_machines`` stay live."""
-        cluster = self.cluster
-        floor = max(1, self._autoscaler.min_machines)
-        count = min(count, cluster.live_machine_count() - floor)
-        if count <= 0:
+        # Retire first (the machines leave the index and the totals in
+        # O(log machines) each), then kill their copies: a slot released
+        # on a retired machine never re-enters the index, so no new work
+        # lands on it mid-teardown.
+        retired = self.cluster.retire_machines(
+            count, self._autoscaler.min_machines
+        )
+        if not retired:
             return 0
-        removed = 0
-        for machine in reversed(cluster.machines):
-            if removed >= count:
-                break
-            if machine.retired or machine.blacklisted:
-                continue
-            # Retire first (the machine leaves the index and the totals
-            # in O(log machines)), then kill its copies: each kill's
-            # release_slot refreshes a bit that stays 0 for a retired
-            # machine, so no new work lands on it mid-teardown.
-            cluster.remove_machine(machine.machine_id)
-            self._kill_machine_copies(machine.machine_id)
-            removed += 1
+        for machine_id in retired:
+            self._kill_machine_copies(machine_id)
         self._resize_slot_pool()
         self._request_dispatch()
-        return removed
+        return len(retired)
 
     def _resize_slot_pool(self) -> None:
         """Eviction/reinstatement changed the usable slot count; refresh

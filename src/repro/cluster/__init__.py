@@ -1,6 +1,5 @@
-"""Cluster substrate: machines, slots, racks, data placement, blacklists."""
+"""Cluster substrate: machines, slots, data placement, blacklists."""
 
-from repro.cluster.machine import Machine
 from repro.cluster.cluster import Cluster
 from repro.cluster.datastore import DataStore
 from repro.cluster.blacklist import Blacklist
@@ -14,7 +13,6 @@ from repro.cluster.elastic import (
 )
 
 __all__ = [
-    "Machine",
     "Cluster",
     "DataStore",
     "Blacklist",

@@ -1,78 +1,54 @@
-"""The cluster: a collection of machines with aggregate slot accounting.
+"""The cluster: per-machine slot and membership state with O(1) totals.
 
-Aggregate capacity (``total_slots``) and the set of machines with a free
-slot are maintained *incrementally* — slot acquire/release updates an
-O(log machines) :class:`~repro.cluster.index.ClusterIndex` instead of
-every reader rescanning the machine list. Blacklist application and
-reset are the only wholesale recomputations.
+Every machine has ``slots_per_machine`` slots. Per-machine state is two
+flat lists indexed by machine id: a busy-slot count and a status
+(:data:`LIVE`, :data:`EVICTED` by a blacklist policy, or :data:`RETIRED`
+by an autoscaler). The aggregates (``total_slots``, ``busy_slots``,
+``free_slots``, ``live_machine_count``) and the set of machines with a
+free slot (an O(log machines) :class:`~repro.cluster.index.ClusterIndex`)
+are kept by deltas: slot acquire/release, eviction, reinstatement,
+retirement and growth each touch one machine's entries and never
+rescan or rebuild.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List
 
-from repro.cluster.blacklist import Blacklist
 from repro.cluster.index import ClusterIndex
-from repro.cluster.machine import Machine
+
+#: Machine statuses. Only a LIVE machine counts toward capacity and can
+#: hold a free-index bit. Eviction (§2.2 blacklisting) is undone by
+#: reinstatement; retirement is permanent — growth appends fresh ids.
+LIVE, EVICTED, RETIRED = 0, 1, 2
 
 
 class Cluster:
-    """A set of machines; tracks aggregate free/busy slots.
+    """``num_machines`` machines of ``slots_per_machine`` slots each."""
 
-    Parameters
-    ----------
-    num_machines:
-        Number of machines (ignored if ``machines`` given).
-    slots_per_machine:
-        Slots on each machine.
-    machines_per_rack:
-        Rack assignment granularity (for locality experiments).
-    machines:
-        Pre-built machines, overriding the size parameters.
-    """
-
-    def __init__(
-        self,
-        num_machines: int = 0,
-        slots_per_machine: int = 1,
-        machines_per_rack: int = 20,
-        machines: Optional[Iterable[Machine]] = None,
-    ) -> None:
-        if machines is not None:
-            self.machines: List[Machine] = list(machines)
-        else:
-            if num_machines <= 0:
-                raise ValueError("num_machines must be positive")
-            self.machines = [
-                Machine(
-                    machine_id=i,
-                    num_slots=slots_per_machine,
-                    rack=i // machines_per_rack,
-                )
-                for i in range(num_machines)
-            ]
-        if not self.machines:
-            raise ValueError("cluster must contain at least one machine")
-        self._machines_per_rack = machines_per_rack
-        self.blacklist = Blacklist()
+    def __init__(self, num_machines: int, slots_per_machine: int = 1) -> None:
+        if num_machines <= 0:
+            raise ValueError("num_machines must be positive")
+        if slots_per_machine <= 0:
+            raise ValueError("slots_per_machine must be positive")
+        self.slots_per_machine = slots_per_machine
+        #: Busy slots per machine id.
+        self.machine_busy: List[int] = [0] * num_machines
+        #: LIVE / EVICTED / RETIRED per machine id.
+        self.machine_status: List[int] = [LIVE] * num_machines
         self._busy_count = 0
-        self._total_slots = self._scan_total_slots()
+        self._total_slots = num_machines * slots_per_machine
+        self._live_count = num_machines
         #: Incremental free-slot index (see repro.cluster.index).
-        self.index = ClusterIndex(self.machines)
-
-    def _scan_total_slots(self) -> int:
-        return sum(
-            m.num_slots
-            for m in self.machines
-            if not m.blacklisted and not m.retired
-        )
+        self.index = ClusterIndex(num_machines)
 
     @property
     def num_machines(self) -> int:
-        return len(self.machines)
+        return len(self.machine_status)
 
     @property
     def total_slots(self) -> int:
+        """Slots on live machines."""
         return self._total_slots
 
     @property
@@ -83,90 +59,112 @@ class Cluster:
     def free_slots(self) -> int:
         return self._total_slots - self._busy_count
 
+    @property
+    def live_machine_count(self) -> int:
+        """Machines contributing capacity (neither evicted nor retired)."""
+        return self._live_count
+
+    def has_free_slot(self, machine_id: int) -> bool:
+        return (
+            self.machine_status[machine_id] == LIVE
+            and self.machine_busy[machine_id] < self.slots_per_machine
+        )
+
+    # -- slot traffic -------------------------------------------------------
+
     def acquire_slot(self, machine_id: int) -> None:
-        """Mark a slot busy on ``machine_id`` (O(1) aggregate tracking)."""
-        machine = self.machines[machine_id]
-        machine.acquire_slot()
+        """Mark a slot busy on ``machine_id``."""
+        busy = self.machine_busy[machine_id] + 1
+        if busy > self.slots_per_machine:
+            raise RuntimeError(f"machine {machine_id}: no free slot")
+        self.machine_busy[machine_id] = busy
         self._busy_count += 1
-        if machine.busy_slots == machine.num_slots:
+        if busy == self.slots_per_machine:
             self.index.set_machine(machine_id, False)
 
     def release_slot(self, machine_id: int) -> None:
-        """Mark a slot free on ``machine_id``."""
-        machine = self.machines[machine_id]
-        machine.release_slot()
+        """Mark a slot free on ``machine_id``. A slot freed on an evicted
+        or retired machine does not return it to the free index."""
+        busy = self.machine_busy[machine_id]
+        if busy <= 0:
+            raise RuntimeError(f"machine {machine_id}: no busy slot")
+        self.machine_busy[machine_id] = busy - 1
         self._busy_count -= 1
-        self.index.refresh(machine)
+        # Only a full live machine lacks its free bit.
+        if (
+            busy == self.slots_per_machine
+            and self.machine_status[machine_id] == LIVE
+        ):
+            self.index.set_machine(machine_id, True)
 
-    def machine(self, machine_id: int) -> Machine:
-        return self.machines[machine_id]
+    # -- membership (each an O(log machines) delta) ---------------------------
 
-    # -- elastic membership (O(log machines), see repro.cluster.elastic) ----
+    def _leave(self, machine_id: int) -> None:
+        self._total_slots -= self.slots_per_machine
+        self._live_count -= 1
+        self.index.set_machine(machine_id, False)
 
-    def add_machine(
-        self,
-        num_slots: Optional[int] = None,
-        rack: Optional[int] = None,
-    ) -> Machine:
-        """Append one machine and delta-update the aggregates.
+    def evict_machine(self, machine_id: int) -> None:
+        """Blacklist a live machine (§2.2): it stops counting toward
+        capacity and leaves the free index until reinstated. Copies
+        still running on it are the caller's to kill."""
+        if self.machine_status[machine_id] != LIVE:
+            raise ValueError(f"machine {machine_id} is not live")
+        self.machine_status[machine_id] = EVICTED
+        self._leave(machine_id)
+
+    def reinstate_machine(self, machine_id: int) -> None:
+        """Return an evicted machine to service."""
+        if self.machine_status[machine_id] != EVICTED:
+            raise ValueError(f"machine {machine_id} is not evicted")
+        self.machine_status[machine_id] = LIVE
+        self._total_slots += self.slots_per_machine
+        self._live_count += 1
+        self.index.set_machine(
+            machine_id, self.machine_busy[machine_id] < self.slots_per_machine
+        )
+
+    def add_machine(self) -> int:
+        """Append one live, idle machine; returns its id.
 
         Machine ids are append-only: a new machine always gets the next
         id, so per-id state elsewhere (straggler flaky sets, worker
-        lists) stays valid. Unlike ``apply_blacklist`` this never
-        rescans or rebuilds — totals and the Fenwick index update in
-        O(log machines).
+        lists) stays valid.
         """
-        machine_id = len(self.machines)
-        if num_slots is None:
-            num_slots = self.machines[0].num_slots
-        if rack is None:
-            rack = machine_id // self._machines_per_rack
-        machine = Machine(machine_id=machine_id, num_slots=num_slots, rack=rack)
-        self.machines.append(machine)
-        self._total_slots += num_slots
-        self.index.append_machine(machine)
-        return machine
+        machine_id = len(self.machine_status)
+        self.machine_busy.append(0)
+        self.machine_status.append(LIVE)
+        self._total_slots += self.slots_per_machine
+        self._live_count += 1
+        self.index.append_machine()
+        return machine_id
 
     def remove_machine(self, machine_id: int) -> None:
-        """Retire one machine and delta-update the aggregates.
+        """Retire one machine for good (an evicted one may retire too).
 
-        The machine object stays in place (ids are stable) but stops
-        counting toward capacity and drops out of the free-slot index.
-        Copies still running on it are the caller's problem — the plane
-        simulators reuse their eviction kill→requeue paths.
+        The id stays allocated but stops counting toward capacity and
+        drops out of the free-slot index. Copies still running on it are
+        the caller's problem — the plane simulators reuse their eviction
+        kill→requeue paths.
         """
-        machine = self.machines[machine_id]
-        if machine.retired:
+        status = self.machine_status[machine_id]
+        if status == RETIRED:
             raise ValueError(f"machine {machine_id} already retired")
-        machine.retired = True
-        if not machine.blacklisted:
-            self._total_slots -= machine.num_slots
-        self.index.set_machine(machine_id, False)
+        self.machine_status[machine_id] = RETIRED
+        if status == LIVE:
+            self._leave(machine_id)
 
-    def live_machine_count(self) -> int:
-        """Machines contributing capacity (not retired, not blacklisted)."""
-        return sum(
-            1 for m in self.machines if not m.retired and not m.blacklisted
-        )
-
-    def machines_with_free_slots(self) -> List[Machine]:
-        return [m for m in self.machines if m.has_free_slot]
-
-    def utilization(self) -> float:
-        total = self._total_slots
-        return self.busy_slots / total if total else 0.0
-
-    def apply_blacklist(self) -> None:
-        """Propagate the blacklist onto machine flags (§2.2: clusters
-        blacklist problematic machines and avoid scheduling on them)."""
-        for machine in self.machines:
-            machine.blacklisted = self.blacklist.is_blacklisted(machine.machine_id)
-        self._total_slots = self._scan_total_slots()
-        self.index.rebuild(self.machines)
-
-    def reset(self) -> None:
-        for machine in self.machines:
-            machine.reset()
-        self._busy_count = 0
-        self._total_slots = self._scan_total_slots()
-        self.index.rebuild(self.machines)
+    def retire_machines(self, count: int, min_machines: int) -> List[int]:
+        """Retire up to ``count`` live machines, highest ids first,
+        keeping at least ``max(1, min_machines)`` live. Returns the
+        retired ids in retirement order."""
+        count = min(count, self._live_count - max(1, min_machines))
+        status = self.machine_status
+        retired: List[int] = []
+        machine_id = len(status)
+        while len(retired) < count:
+            machine_id -= 1
+            if status[machine_id] == LIVE:
+                self.remove_machine(machine_id)
+                retired.append(machine_id)
+        return retired

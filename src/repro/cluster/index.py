@@ -12,13 +12,14 @@ ids with a set bit for every machine that currently has a free slot:
 * ``nth_free_machine(k)`` — the k-th free machine *in ascending
   machine-id order*, O(log machines) via binary descent;
 * ``set_machine(machine_id, is_free)`` — O(log machines), no-op when
-  the bit is unchanged.
+  the bit is unchanged;
+* ``append_machine()`` — one new free bit, O(log machines).
 
 Ascending-id enumeration order is load-bearing: it makes
 ``nth_free_machine(rng.randrange(count))`` consume the same entropy and
-return the same machine as the old ``rng.choice(machines_with_free_
-slots())``, so replays are bit-identical to the scan-based simulator
-(see ``tests/test_golden_results.py``).
+return the same machine as ``rng.choice`` over an ascending scan of
+the free machines, so replays are bit-identical to the scan-based
+simulator (see ``tests/test_golden_results.py``).
 
 Per-job indexes (pending-task locality buckets, running-copy counters)
 live on :class:`repro.runtime.JobRuntime`; this module owns the
@@ -27,41 +28,35 @@ cluster-wide machine index.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 
 class ClusterIndex:
-    """Fenwick-tree free-slot index over a fixed machine list.
+    """Fenwick-tree free-slot index over machine ids.
 
-    The index mirrors ``machine.has_free_slot`` (which is False for
-    blacklisted machines); :class:`repro.cluster.cluster.Cluster`
-    refreshes the relevant bit on every slot acquire/release and
-    rebuilds the index wholesale on reset / blacklist application.
+    The index starts with every machine free and is only ever updated
+    by deltas: :class:`repro.cluster.cluster.Cluster` flips one bit when
+    a machine fills, frees a slot, is evicted, reinstated or retired,
+    and appends one bit per added machine.
     """
 
     __slots__ = ("_size", "_tree", "_bits", "_top_bit", "free_machine_count")
 
-    def __init__(self, machines: Sequence) -> None:
-        self.rebuild(machines)
-
-    # -- construction -------------------------------------------------------
-
-    def rebuild(self, machines: Sequence) -> None:
-        """Recompute the whole index from scratch (O(machines))."""
-        n = len(machines)
-        self._size = n
-        self._top_bit = 1 << (n.bit_length() - 1) if n else 0
-        bits = [1 if m.has_free_slot else 0 for m in machines]
-        self._bits = bits
-        self.free_machine_count = sum(bits)
-        # O(n) Fenwick build: each node accumulates into its parent.
-        tree = [0] * (n + 1)
-        for i in range(1, n + 1):
-            tree[i] += bits[i - 1]
-            parent = i + (i & -i)
-            if parent <= n:
-                tree[parent] += tree[i]
+    def __init__(self, num_machines: int) -> None:
+        # All bits set: Fenwick node i covers the ids (i - lowbit(i), i],
+        # so tree[i] = lowbit(i) = i & -i. The lowbit sequence doubles as
+        # L(2^(k+1)) = L(2^k) + [2^k] + L(2^k)[1:], built in log steps.
+        tree = [0]
+        while len(tree) <= num_machines:
+            tree = tree + [len(tree)] + tree[1:]
+        del tree[num_machines + 1:]
         self._tree = tree
+        self._bits = [1] * num_machines
+        self._size = num_machines
+        self._top_bit = (
+            1 << (num_machines.bit_length() - 1) if num_machines else 0
+        )
+        self.free_machine_count = num_machines
 
     # -- updates ------------------------------------------------------------
 
@@ -74,22 +69,19 @@ class ClusterIndex:
             count -= count & -count
         return total
 
-    def append_machine(self, machine) -> None:
-        """Extend the index by one machine id (O(log machines)).
+    def append_machine(self) -> None:
+        """Extend the index by one free machine id (O(log machines)).
 
-        Elastic growth appends machines instead of rebuilding: the new
-        Fenwick node's value is the bit-sum of the id range it covers,
-        recoverable from prefix sums over the existing tree — no O(n)
-        rebuild on the resize path.
+        The new Fenwick node's value is the bit-sum of the id range it
+        covers, recoverable from prefix sums over the existing tree.
         """
-        bit = 1 if machine.has_free_slot else 0
         j = self._size + 1
         span_start = j - (j & -j)
-        self._tree.append(self._prefix(j - 1) - self._prefix(span_start) + bit)
-        self._bits.append(bit)
+        self._tree.append(self._prefix(j - 1) - self._prefix(span_start) + 1)
+        self._bits.append(1)
         self._size = j
         self._top_bit = 1 << (j.bit_length() - 1)
-        self.free_machine_count += bit
+        self.free_machine_count += 1
 
     def set_machine(self, machine_id: int, is_free: bool) -> None:
         """Record that ``machine_id`` gained/lost its last free slot."""
@@ -106,10 +98,6 @@ class ClusterIndex:
         while j <= size:
             tree[j] += delta
             j += j & -j
-
-    def refresh(self, machine) -> None:
-        """Sync one machine's bit from its ``has_free_slot`` flag."""
-        self.set_machine(machine.machine_id, machine.has_free_slot)
 
     # -- queries ------------------------------------------------------------
 
@@ -140,7 +128,7 @@ class ClusterIndex:
         return self.nth_free_machine(0)
 
     def free_machine_ids(self) -> List[int]:
-        """All free machine ids, ascending (for tests/debugging)."""
+        """All free machine ids, ascending."""
         return [i for i, bit in enumerate(self._bits) if bit]
 
     def __len__(self) -> int:

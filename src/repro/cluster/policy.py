@@ -1,14 +1,11 @@
 """Blacklist policies: online, strike-driven mid-run machine eviction.
 
-PR 4 built the blacklisting *substrate* (:class:`~repro.cluster.
-blacklist.Blacklist`, :meth:`~repro.cluster.cluster.Cluster.
-apply_blacklist`, :meth:`~repro.cluster.index.ClusterIndex.rebuild`) but
-nothing ever exercised it mid-run: the machine-correlated straggler
-model and the blacklist never interacted. This module closes that loop
-with a *policy* layer in the spirit of the paper's §2.2 observation
-(production clusters blacklist persistently flaky machines) and the
-self-adjusting-structures framing of ReNets: eviction is an online
-decision with its own knobs, not a fixed pre-run configuration.
+This module connects the machine-correlated straggler model to the
+cluster's eviction substrate with a *policy* layer in the spirit of the
+paper's §2.2 observation (production clusters blacklist persistently
+flaky machines) and the self-adjusting-structures framing of ReNets:
+eviction is an online decision with its own knobs, not a fixed pre-run
+configuration.
 
 A :class:`BlacklistPolicy` observes per-machine evidence while a
 simulation runs — each task-copy completion is reported with the time,
@@ -23,10 +20,12 @@ questions the simulator acts on:
 
 The policy itself never touches the cluster: the owning simulator
 (centralized dispatch/reschedule path or decentralized probe/launch
-path) performs the eviction — killing running copies through the
-:class:`~repro.runtime.CopyLedger`, requeueing lost originals, then
-calling ``Cluster.apply_blacklist`` (which rebuilds the
-:class:`~repro.cluster.index.ClusterIndex`). Policies register in
+path) performs the eviction — ``Cluster.evict_machine`` takes the
+machine out of the capacity totals and the free-slot
+:class:`~repro.cluster.index.ClusterIndex` in O(log machines), then its
+running copies are killed through the :class:`~repro.runtime.
+CopyLedger` and lost originals requeued; ``Cluster.reinstate_machine``
+is the same delta in reverse. Policies register in
 :data:`repro.registry.BLACKLIST_POLICIES` and are reachable from
 ``RunSpec`` via the ``blacklist_policy`` / ``strike_threshold`` /
 ``strike_window`` / ``eviction_cap`` knobs.

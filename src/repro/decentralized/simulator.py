@@ -35,10 +35,11 @@ completions; eviction removes the worker from the probe sample pool,
 drops its queued requests, kills its running copies through the ledger
 (requeueing originals whose last copy died, with a fresh probe each),
 and records the decision in a mirror :class:`~repro.cluster.cluster.
-Cluster` whose ``apply_blacklist`` call rebuilds the shared
-:class:`~repro.cluster.index.ClusterIndex` — the same substrate the
-centralized plane uses. With no policy (the default) the probe/launch
-path is untouched and replays are bit-identical.
+Cluster` — the same substrate the centralized plane uses — whose
+``evict_machine`` / ``reinstate_machine`` / ``remove_machine`` deltas
+keep its :class:`~repro.cluster.index.ClusterIndex` equal to the live
+worker set the probe pool is built from. With no policy (the default)
+the probe/launch path is untouched and replays are bit-identical.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ class DecentralizedSimulator:
         self.cluster: Optional[Cluster] = None
         if blacklist_policy is not None or autoscaler is not None:
             # Mirror cluster: membership bookkeeping on the shared
-            # substrate (blacklist flags, retirement, free-machine
-            # index); its slots are never acquired.
+            # substrate (eviction, retirement, free-machine index); its
+            # slots are never acquired.
             self.cluster = Cluster(
                 num_machines=num_workers,
                 slots_per_machine=slots_per_worker,
@@ -487,10 +488,10 @@ class DecentralizedSimulator:
         """Blacklist a worker mid-run: drop it from the probe pool, kill
         its running copies, and requeue tasks whose last copy died."""
         victims = self.worker(worker_id).evict()
-        # Blacklist + pool refresh BEFORE requeueing, so the replacement
+        # Eviction + pool refresh BEFORE requeueing, so the replacement
         # probes sent below can never target the worker being evicted.
-        self.cluster.blacklist.add(worker_id)
-        self._apply_blacklist()
+        self.cluster.evict_machine(worker_id)
+        self._refresh_membership()
         orphaned: List[Tuple[SchedulerAgent, SchedulerJob, Task]] = []
         for copy in victims:
             scheduler = self._owner.get(copy.task.job_id)
@@ -519,8 +520,8 @@ class DecentralizedSimulator:
     def _reinstate_worker(self, worker_id: int) -> None:
         """Probation served: the worker rejoins the probe pool."""
         self.worker(worker_id).reinstate()
-        self.cluster.blacklist.remove(worker_id)
-        self._apply_blacklist()
+        self.cluster.reinstate_machine(worker_id)
+        self._refresh_membership()
         self.metrics.record_reinstatement()
         obs = self.obs
         if obs is not None:
@@ -530,29 +531,13 @@ class DecentralizedSimulator:
                     "blacklist", "reinstate", self.sim.now, machine=worker_id
                 )
 
-    def _apply_blacklist(self) -> None:
-        """Propagate the blacklist through the shared cluster substrate
-        (machine flags + index rebuild), refresh the probe sample pool,
-        and resize the schedulers' ε-fair floors."""
-        obs = self.obs
-        if obs is None:
-            self._rebuild_cluster_state()
-        else:
-            with obs.timers.phase("index.rebuild"):
-                self._rebuild_cluster_state()
-
-    def _rebuild_cluster_state(self) -> None:
-        self.cluster.apply_blacklist()
-        self._refresh_membership()
-
     # -- elastic membership (autoscaler resizes) ------------------------------
 
     def _refresh_membership(self) -> None:
-        """Incremental counterpart of :meth:`_rebuild_cluster_state` for
-        autoscaler resizes: the mirror cluster's index is already
-        delta-updated, so only the derived state (probe sample pool,
-        live capacity, ε-fair floors) is rebuilt — no ``apply_blacklist``
-        rescan, no Fenwick rebuild."""
+        """Rebuild the state derived from membership after an eviction,
+        reinstatement or resize: the mirror cluster's index is already
+        delta-updated, so only the probe sample pool (its free ids,
+        ascending), the live capacity and the ε-fair floors change."""
         self._sample_pool = self.cluster.index.free_machine_ids()
         total = len(self._sample_pool) * self._slots_per_worker
         # Live capacity, kept current so external probes (the serving
@@ -568,7 +553,7 @@ class DecentralizedSimulator:
         probe."""
         for _ in range(count):
             self.workers.append(None)
-            self.cluster.add_machine(num_slots=self._slots_per_worker)
+            self.cluster.add_machine()
         self._refresh_membership()
         return count
 
@@ -576,22 +561,16 @@ class DecentralizedSimulator:
         """REMOVE_MACHINE: retire up to ``count`` workers (highest live
         ids first) through the eviction teardown — kill running copies,
         requeue originals whose last copy died with a fresh probe each —
-        but via machine *retirement*, which no later blacklist pass can
-        undo. Clamped so at least ``min_machines`` workers stay live."""
-        cluster = self.cluster
-        floor = max(1, self._autoscaler.min_machines)
-        count = min(count, cluster.live_machine_count() - floor)
-        if count <= 0:
+        but via machine *retirement*, which no reinstatement can undo.
+        Clamped so at least ``min_machines`` workers stay live."""
+        retired = self.cluster.retire_machines(
+            count, self._autoscaler.min_machines
+        )
+        if not retired:
             return 0
-        removed = 0
         orphaned: List[Tuple[SchedulerAgent, SchedulerJob, Task]] = []
-        for machine in reversed(cluster.machines):
-            if removed >= count:
-                break
-            if machine.retired or machine.blacklisted:
-                continue
-            victims = self.worker(machine.machine_id).evict()
-            cluster.remove_machine(machine.machine_id)
+        for worker_id in retired:
+            victims = self.worker(worker_id).evict()
             for copy in victims:
                 scheduler = self._owner.get(copy.task.job_id)
                 sj = scheduler.jobs.get(copy.task.job_id) if scheduler else None
@@ -600,11 +579,10 @@ class DecentralizedSimulator:
                 self._kill_copy(copy, scheduler, sj)
                 if copy.task.task_id not in sj.view.finished:
                     orphaned.append((scheduler, sj, copy.task))
-            removed += 1
         # Pool refresh BEFORE requeueing (same ordering as eviction), so
         # the replacement probes can never target a retired worker.
         self._refresh_membership()
         for scheduler, sj, task in orphaned:
             if sj.view.num_live_copies(task) == 0:
                 scheduler.requeue_task(sj, task)
-        return removed
+        return len(retired)

@@ -9,6 +9,7 @@ drains away as the policy evicts — rather than pinning digests.
 
 import pytest
 
+from repro.cluster.cluster import EVICTED
 from repro.cluster.policy import BlacklistPolicy, StrikeBlacklistPolicy
 from repro.simulation.rng import RandomSource
 from repro.speculation import LATE
@@ -379,10 +380,11 @@ def test_probation_reinstates_machines_end_to_end():
     model, ledger, simulator = _decentralized_run(policy)
     assert policy.evictions
     assert policy.reinstatements, "probation never reinstated a worker"
-    assert (
-        simulator.cluster.blacklist.blacklisted_machines
-        == set(policy.evicted_machines)
-    )
+    assert {
+        machine_id
+        for machine_id, status in enumerate(simulator.cluster.machine_status)
+        if status == EVICTED
+    } == set(policy.evicted_machines)
     worker_ids = range(len(simulator.workers))
     for worker_id in worker_ids:
         expected = worker_id in policy.evicted_machines

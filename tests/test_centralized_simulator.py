@@ -137,8 +137,7 @@ def test_no_slot_is_double_booked():
     sim.run()
     # After the run every slot must be free again.
     assert cluster.busy_slots == 0
-    for machine in cluster.machines:
-        assert machine.busy_slots == 0
+    assert cluster.machine_busy == [0] * cluster.num_machines
 
 
 def test_dag_phases_respect_pipelining():
@@ -285,3 +284,58 @@ def test_speculation_fraction_in_plausible_range():
         config=CentralizedConfig(epsilon=1.0),
     )
     assert 0.01 < result.speculation_task_fraction < 0.6
+
+
+@pytest.mark.parametrize(
+    "plane,digest",
+    [
+        (
+            "centralized",
+            "046aab5b283d701fc356102cb70d772a193a1894c2f134fd4d62d4612edd5716",
+        ),
+        (
+            "batch",
+            "71a5518df5d84e34b273d72f79a5e75f055201d634284a7ab86d001207e81ab1",
+        ),
+    ],
+    ids=["centralized", "batch"],
+)
+def test_membership_paths_are_pinned(plane, digest):
+    """Result digests of a replay whose cluster loses machines to
+    eviction, gets them back on probation, shrinks and then grows —
+    membership paths no golden study covers. Taken when eviction and
+    reinstatement still rebuilt the whole free-slot index: the O(log
+    machines) deltas must leave every draw and every result
+    byte-identical."""
+    import hashlib
+
+    from repro.experiments.harness import build_simulator, build_trace
+    from repro.metrics.serialize import dumps_result
+    from repro.sweep import WorkloadParams
+
+    workload = WorkloadParams(
+        profile="spark-facebook",
+        num_jobs=20,
+        utilization=0.8,
+        total_slots=60,
+        max_phase_tasks=30,
+    ).to_workload_spec()
+    sim = build_simulator(
+        "hopper",
+        build_trace(workload),
+        workload,
+        plane=plane,
+        speculation="late",
+        run_seed=5,
+        straggler_model="machine-correlated",
+        blacklist_policy="strikes-probation",
+        strike_threshold=1,
+        autoscaler="schedule",
+        resize_schedule="5:-10,20:+12",
+    )
+    result = sim.run()
+    assert result.num_jobs == 20
+    assert result.evictions > 0 and result.reinstatements > 0
+    assert sim._elastic.machines_removed > 0
+    assert sim._elastic.machines_added > 0
+    assert hashlib.sha256(dumps_result(result).encode()).hexdigest() == digest

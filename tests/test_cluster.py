@@ -1,41 +1,46 @@
-"""Tests for machines, clusters, the datastore and blacklisting."""
+"""Tests for the cluster's per-machine slots, the datastore and
+blacklisting."""
 
 import pytest
 
 from repro.cluster.blacklist import Blacklist
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import EVICTED, Cluster
 from repro.cluster.datastore import DataStore
-from repro.cluster.machine import Machine
 from repro.simulation.rng import RandomSource
 from repro.workload.job import make_chain_job, make_single_phase_job
 from repro.workload.task import Task
 
 
 def test_machine_slot_accounting():
-    machine = Machine(machine_id=0, num_slots=2)
-    assert machine.free_slots == 2
-    machine.acquire_slot()
-    assert machine.free_slots == 1
-    machine.release_slot()
-    assert machine.free_slots == 2
+    cluster = Cluster(num_machines=1, slots_per_machine=2)
+    cluster.acquire_slot(0)
+    assert cluster.machine_busy == [1]
+    assert cluster.has_free_slot(0)
+    cluster.acquire_slot(0)
+    assert not cluster.has_free_slot(0)
+    cluster.release_slot(0)
+    assert cluster.machine_busy == [1]
+    assert cluster.has_free_slot(0)
 
 
 def test_machine_over_acquire_raises():
-    machine = Machine(machine_id=0, num_slots=1)
-    machine.acquire_slot()
+    cluster = Cluster(num_machines=2, slots_per_machine=1)
+    cluster.acquire_slot(0)
     with pytest.raises(RuntimeError):
-        machine.acquire_slot()
+        cluster.acquire_slot(0)
+    assert cluster.busy_slots == 1
 
 
 def test_machine_over_release_raises():
-    machine = Machine(machine_id=0, num_slots=1)
+    cluster = Cluster(num_machines=2, slots_per_machine=1)
     with pytest.raises(RuntimeError):
-        machine.release_slot()
+        cluster.release_slot(0)
+    assert cluster.busy_slots == 0
 
 
 def test_machine_requires_slots():
     with pytest.raises(ValueError):
-        Machine(machine_id=0, num_slots=0)
+        Cluster(num_machines=1, slots_per_machine=0)
 
 
 def test_cluster_totals():
@@ -43,6 +48,7 @@ def test_cluster_totals():
     assert cluster.num_machines == 10
     assert cluster.total_slots == 40
     assert cluster.free_slots == 40
+    assert cluster.live_machine_count == 10
 
 
 def test_cluster_slot_tracking_is_consistent():
@@ -51,7 +57,6 @@ def test_cluster_slot_tracking_is_consistent():
     cluster.acquire_slot(1)
     assert cluster.busy_slots == 2
     assert cluster.free_slots == 4
-    assert cluster.utilization() == pytest.approx(2 / 6)
     cluster.release_slot(0)
     assert cluster.busy_slots == 1
 
@@ -59,22 +64,8 @@ def test_cluster_slot_tracking_is_consistent():
 def test_cluster_machines_with_free_slots():
     cluster = Cluster(num_machines=2, slots_per_machine=1)
     cluster.acquire_slot(0)
-    free = cluster.machines_with_free_slots()
-    assert [m.machine_id for m in free] == [1]
-
-
-def test_cluster_rack_assignment():
-    cluster = Cluster(num_machines=45, machines_per_rack=20)
-    racks = {m.rack for m in cluster.machines}
-    assert racks == {0, 1, 2}
-
-
-def test_cluster_reset():
-    cluster = Cluster(num_machines=2, slots_per_machine=2)
-    cluster.acquire_slot(0)
-    cluster.reset()
-    assert cluster.busy_slots == 0
-    assert cluster.machine(0).busy_slots == 0
+    assert cluster.index.free_machine_ids() == [1]
+    assert [cluster.has_free_slot(i) for i in range(2)] == [False, True]
 
 
 def test_cluster_requires_machines():
@@ -83,27 +74,27 @@ def test_cluster_requires_machines():
 
 
 def test_blacklist_strikes():
-    blacklist = Blacklist(strikes_to_blacklist=2)
-    assert not blacklist.record_strike(3)
-    assert blacklist.record_strike(3)  # second strike crosses threshold
+    blacklist = Blacklist(strikes_to_blacklist=2, strike_window=10.0)
+    assert not blacklist.record_strike(3, now=0.0)
+    # second strike within the window crosses the threshold
+    assert blacklist.record_strike(3, now=1.0)
     assert blacklist.is_blacklisted(3)
-    assert not blacklist.record_strike(3)  # already blacklisted
+    assert not blacklist.record_strike(3, now=2.0)  # already blacklisted
+    blacklist.remove(3)
+    assert not blacklist.is_blacklisted(3)
+    assert blacklist.strike_count(3, now=2.0) == 0  # clean record
 
 
-def test_blacklist_add_remove():
-    blacklist = Blacklist()
-    blacklist.add(1)
-    assert blacklist.is_blacklisted(1)
-    blacklist.remove(1)
-    assert not blacklist.is_blacklisted(1)
-
-
-def test_cluster_apply_blacklist_removes_capacity():
+def test_cluster_evict_machine_removes_capacity():
     cluster = Cluster(num_machines=4, slots_per_machine=2)
-    cluster.blacklist.add(0)
-    cluster.apply_blacklist()
+    cluster.evict_machine(0)
     assert cluster.total_slots == 6
-    assert not cluster.machine(0).has_free_slot
+    assert cluster.live_machine_count == 3
+    assert cluster.machine_status[0] == EVICTED
+    assert not cluster.has_free_slot(0)
+    cluster.reinstate_machine(0)
+    assert cluster.total_slots == 8
+    assert cluster.has_free_slot(0)
 
 
 # -- datastore ------------------------------------------------------------------

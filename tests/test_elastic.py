@@ -5,7 +5,7 @@ The hard constraints under test:
 
 * ``Cluster.add_machine`` / ``remove_machine`` are O(log machines)
   *deltas* — after any interleaving with slot traffic the Fenwick index
-  and ``_total_slots`` must equal a from-scratch rebuild/rescan;
+  and the totals must equal the naive model in ``cluster_model.py``;
 * the :class:`IncrementalAllocator` floors memo invalidates on a pool
   resize through its existing ``(membership_version, total_slots)`` key
   — no new hooks;
@@ -19,14 +19,14 @@ import random
 
 import pytest
 
+from cluster_model import ReferenceCluster
 from repro.centralized.policies import HopperPolicy
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import LIVE, Cluster
 from repro.cluster.elastic import (
     ReactiveAutoscaler,
     ScheduleAutoscaler,
     parse_resize_schedule,
 )
-from repro.cluster.index import ClusterIndex
 from repro.core.allocation import JobAllocationState
 from repro.core.incremental import IncrementalAllocator
 from repro.experiments.harness import (
@@ -77,78 +77,68 @@ def test_reactive_autoscaler_validates_and_decides():
     assert policy.decide(0.0, 0, 0) == 3  # empty cluster must grow
 
 
-# -- membership deltas vs from-scratch rebuild -------------------------------
-
-
-def _assert_matches_rebuild(cluster: Cluster) -> None:
-    """Index and totals must equal what a wholesale recompute reports."""
-    rebuilt = ClusterIndex(cluster.machines)
-    index = cluster.index
-    assert len(index) == len(cluster.machines)
-    assert index.free_machine_ids() == rebuilt.free_machine_ids()
-    assert index.free_machine_count == rebuilt.free_machine_count
-    for k in range(rebuilt.free_machine_count):
-        assert index.nth_free_machine(k) == rebuilt.nth_free_machine(k)
-    assert index.first_free_machine() == rebuilt.first_free_machine()
-    assert cluster.total_slots == cluster._scan_total_slots()
+# -- membership deltas vs the naive reference model ---------------------------
 
 
 def test_add_machine_appends_fresh_id():
     cluster = Cluster(num_machines=3, slots_per_machine=2)
-    machine = cluster.add_machine()
-    assert machine.machine_id == 3
-    assert machine.num_slots == 2  # defaults from the existing fleet
-    assert cluster.total_slots == 8
-    _assert_matches_rebuild(cluster)
+    model = ReferenceCluster(3, 2)
+    assert cluster.add_machine() == model.add() == 3
+    assert cluster.total_slots == 8  # the fleet's slots_per_machine
+    model.check(cluster)
 
 
 def test_remove_machine_retires_and_never_resurrects():
     cluster = Cluster(num_machines=4, slots_per_machine=2)
+    model = ReferenceCluster(4, 2)
     cluster.acquire_slot(1)
+    model.acquire(1)
     cluster.remove_machine(1)
+    model.retire(1)
     assert cluster.total_slots == 6
     assert 1 not in cluster.index.free_machine_ids()
     with pytest.raises(ValueError):
         cluster.remove_machine(1)
     # Releasing the straggling busy slot must not re-admit the machine.
     cluster.release_slot(1)
+    model.release(1)
     assert 1 not in cluster.index.free_machine_ids()
-    _assert_matches_rebuild(cluster)
+    model.check(cluster)
     # Growth appends a fresh id; the retired id stays dead.
-    machine = cluster.add_machine()
-    assert machine.machine_id == 4
-    assert cluster.live_machine_count() == 4
-    _assert_matches_rebuild(cluster)
+    assert cluster.add_machine() == model.add() == 4
+    assert cluster.live_machine_count == 4
+    model.check(cluster)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_randomized_membership_and_slot_traffic(seed):
     """Interleave add/remove with acquire/release; after *every* step the
-    delta-maintained index and totals equal a from-scratch rebuild."""
+    delta-maintained index and totals equal the naive model."""
     rng = random.Random(seed)
-    cluster = Cluster(num_machines=rng.randint(1, 8), slots_per_machine=2)
-    busy = []  # machine ids holding a slot we acquired
+    num_machines = rng.randint(1, 8)
+    cluster = Cluster(num_machines=num_machines, slots_per_machine=2)
+    model = ReferenceCluster(num_machines, 2)
     for _ in range(250):
         op = rng.random()
-        live = [
-            m.machine_id
-            for m in cluster.machines
-            if not m.retired and not m.blacklisted
-        ]
+        live = model.ids(LIVE)
+        busy = model.busy_ids()
         if op < 0.15:
-            cluster.add_machine(num_slots=rng.randint(1, 3))
+            assert cluster.add_machine() == model.add()
         elif op < 0.30 and len(live) > 1:
-            cluster.remove_machine(rng.choice(live))
-        elif op < 0.65 and cluster.index.free_machine_count:
-            free_ids = cluster.index.free_machine_ids()
-            machine_id = rng.choice(free_ids)
+            machine_id = rng.choice(live)
+            cluster.remove_machine(machine_id)
+            model.retire(machine_id)
+        elif op < 0.65 and model.free_ids():
+            machine_id = rng.choice(model.free_ids())
             cluster.acquire_slot(machine_id)
-            busy.append(machine_id)
+            model.acquire(machine_id)
         elif busy:
             # May release on a since-retired machine: the index must
             # keep it out even though a slot freed up.
-            cluster.release_slot(busy.pop(rng.randrange(len(busy))))
-        _assert_matches_rebuild(cluster)
+            machine_id = rng.choice(busy)
+            cluster.release_slot(machine_id)
+            model.release(machine_id)
+        model.check(cluster)
 
 
 # -- floors memo invalidation ------------------------------------------------
@@ -273,7 +263,7 @@ def test_remove_clamps_at_min_machines():
         autoscaler=ScheduleAutoscaler([(1.0, -100)], min_machines=2),
     )
     simulator.run()
-    assert simulator.cluster.live_machine_count() == 2
+    assert simulator.cluster.live_machine_count == 2
 
 
 # -- serving-side live capacity (the foregrounded bugfix) --------------------

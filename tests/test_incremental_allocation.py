@@ -343,7 +343,6 @@ def _make_sim(policy, blacklist=None, seed=11):
 def _step_and_check(sim):
     """Run one replay one event at a time, checking every cache against
     its from-scratch reference after every single event."""
-    sim.cluster.reset()
     sim.sim.schedule_many(
         (
             (job.arrival_time, sim._on_job_arrival, (job,))

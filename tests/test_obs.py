@@ -329,7 +329,6 @@ def test_centralized_eviction_accounting_and_phase_timers():
     timers = obs.timers.as_dict()
     for phase in (
         "engine.dispatch",
-        "index.rebuild",
         "policy.allocate",
         "policy.evaluate_completion",
     ):

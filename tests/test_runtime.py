@@ -8,6 +8,7 @@ checks *equivalence with the reference scan*, not just plausibility.
 import random
 from collections import deque
 
+from repro.cluster.cluster import EVICTED
 from repro.estimation.beta import OnlineBetaEstimator
 from repro.metrics.collector import MetricsCollector
 from repro.runtime import CopyLedger, JobRuntime, LocalityJobRuntime
@@ -403,16 +404,15 @@ def test_centralized_eviction_kills_requeues_and_completes():
     assert simulator.ledger.events == {}
     assert simulator.sim.pending_events == 0
     # The machine stayed out: idle, blacklisted, excluded from totals.
-    machine = simulator.cluster.machine(machine_id)
-    assert machine.blacklisted and machine.busy_slots == 0
-    assert simulator.cluster.busy_slots == 0
-    assert simulator.cluster.total_slots == sum(
-        m.num_slots for m in simulator.cluster.machines if not m.blacklisted
+    cluster = simulator.cluster
+    assert cluster.machine_status[machine_id] == EVICTED
+    assert cluster.machine_busy[machine_id] == 0
+    assert cluster.busy_slots == 0
+    assert cluster.total_slots == cluster.slots_per_machine * (
+        cluster.num_machines - 1
     )
-    assert simulator.cluster.index.free_machine_ids() == [
-        m.machine_id
-        for m in simulator.cluster.machines
-        if m.has_free_slot
+    assert cluster.index.free_machine_ids() == [
+        m for m in range(cluster.num_machines) if m != machine_id
     ]
 
 
@@ -512,8 +512,8 @@ def test_decentralized_eviction_kills_requeues_and_completes():
     assert worker.evicted and worker.queue == [] and worker.running == []
     assert worker.busy_slots == 0
     assert simulator._request_holders == {}
-    # The mirror substrate recorded the eviction and rebuilt its index.
-    assert simulator.cluster.blacklist.is_blacklisted(worker.worker_id)
+    # The mirror substrate recorded the eviction in its index.
+    assert simulator.cluster.machine_status[worker.worker_id] == EVICTED
     assert worker.worker_id not in simulator.cluster.index.free_machine_ids()
     assert worker.worker_id not in simulator._sample_pool
     assert len(simulator._sample_pool) == num_workers - 1
